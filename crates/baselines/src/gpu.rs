@@ -1,6 +1,6 @@
 //! Analytical A100 GPU baseline running vLLM-style serving.
 //!
-//! Substitutes the paper's measured 4×A100 testbed (see DESIGN.md): a
+//! Substitutes the paper's measured 4×A100 testbed with a
 //! roofline + memory-capacity model that reproduces the *shapes* the paper
 //! reports — throughput plateaus versus batch size (Figure 1), saturation at
 //! smaller batches for longer contexts, prefill compute-bound vs decode

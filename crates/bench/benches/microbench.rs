@@ -22,6 +22,17 @@ fn bench_dram_timing(c: &mut Criterion) {
             black_box(ch.busy_until())
         })
     });
+    // Same row, issued as one closed-form lockstep burst (bit-identical
+    // state; the per-bank checks run on the first beat only).
+    c.bench_function("dram_row_of_mac_beats_burst", |b| {
+        b.iter(|| {
+            let mut ch = PimChannelTiming::new();
+            ch.issue(DramCommand::ActAb { row: RowAddr(0) }).unwrap();
+            ch.issue_mac_burst(64).unwrap();
+            ch.issue(DramCommand::PreAb).unwrap();
+            black_box(ch.busy_until())
+        })
+    });
 }
 
 fn bench_isa_roundtrip(c: &mut Criterion) {

@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of CENT's key design choices: the hierarchical PIM-PNM split,
+//! the multicast switch, GQA, PP batching and TP attention placement.
 use cent_bench::Report;
 use cent_compiler::{compile_decode_step, BlockPlacement, Strategy};
 use cent_cxl::{CxlFabric, FabricConfig, NodeId};

@@ -1,8 +1,9 @@
 //! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the CENT paper (see DESIGN.md's experiment index).
+//! and figure of the CENT paper (one binary per table or figure, named
+//! after it; the README's Quickstart shows how to run them).
 //!
 //! Each binary prints the paper-style rows to stdout and appends a JSON
-//! record under `results/` so EXPERIMENTS.md can cite the measured values.
+//! record under `results/` (formats in `docs/SCHEMAS.md`).
 
 #![forbid(unsafe_code)]
 

@@ -5,9 +5,35 @@
 //! at the earliest legal time. PIM command streams are in-order (the PIM
 //! controller converts micro-ops to DRAM commands sequentially, §4.2), so a
 //! simple "earliest legal issue" scheduler is exact for CENT traces.
+//!
+//! # Lockstep fast paths
+//!
+//! [`PimChannelTiming::issue`] is the reference: every command scans the 16
+//! banks twice (earliest legal time, then state update). Two closed forms
+//! cover the commands that dominate a PIM trace, and each yields exactly
+//! the state and times that `issue` would:
+//!
+//! * [`PimChannelTiming::issue_mac_burst`] issues `n` back-to-back `MACab`
+//!   beats inside the open row. Only the first beat needs the per-bank
+//!   checks; after it, `tCCD_S` is the only binding constraint and refresh
+//!   cannot fire (it waits for all rows to close), so beat `i` lands at
+//!   `first + (i − 1)·tCCD_S` and the last beat's state covers the rest.
+//! * [`PimChannelTiming::issue_row_switch`] is `PREab` + `ACTab`. While the
+//!   open rows form one lockstep session (one `ACTab`, no single-bank
+//!   ACT/PRE since), the `PREab` time follows from channel-level "latest
+//!   read / latest write" aggregates instead of per-bank maxima: issue
+//!   times never decrease, so the latest is the maximum.
+//!
+//! Both apply whenever the caller streams all-bank beats in lockstep, as
+//! `cent-pim`'s `MAC_ABK` does once per row segment. Exactness is proven
+//! by differential tests against `issue` over random channel histories
+//! (refresh on and off, random timing parameters, single-bank RD/WR/ACT/PRE
+//! before the run, idle gaps): `mac_burst_matches_single_beats` and
+//! `row_switch_matches_preab_then_actab` in the workspace's
+//! `tests/proptests.rs`.
 
 use cent_types::consts::{self, timing};
-use cent_types::{BankGroupId, CentError, CentResult, RowAddr, Time};
+use cent_types::{BankGroupId, CentError, CentResult, ColAddr, RowAddr, Time};
 
 use crate::command::{ActivityCounters, DramCommand};
 
@@ -63,7 +89,7 @@ impl Default for TimingParams {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BankState {
     open_row: Option<RowAddr>,
     /// Issue time of the ACT that opened the current row.
@@ -76,6 +102,18 @@ struct BankState {
     last_wr: Time,
     ever_activated: bool,
     ever_precharged: bool,
+}
+
+/// Channel-level column history of a lockstep row session: every bank was
+/// opened by the same `ACTab` and no single-bank ACT/PRE happened since.
+/// Issue times never decrease, so the latest read and write since that
+/// `ACTab` are the per-bank maxima the `PREab` constraint needs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Lockstep {
+    /// Most recent column read or MAC beat, any bank (zero if none).
+    rd: Time,
+    /// Most recent column write, any bank (zero if none).
+    wr: Time,
 }
 
 /// Timing state of one GDDR6-PIM channel (16 banks).
@@ -92,7 +130,11 @@ struct BankState {
 /// // The first MAC beat waits for tRCDRD = 18 ns after the activate.
 /// assert_eq!((t1 - t0).as_ns(), 18.0);
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Equality compares the complete timing state (every bank, the bus clock,
+/// refresh deadline and counters), which is what the burst differential
+/// tests check.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PimChannelTiming {
     params: TimingParams,
     banks: [BankState; consts::BANKS_PER_CHANNEL],
@@ -111,6 +153,8 @@ pub struct PimChannelTiming {
     stats: ActivityCounters,
     has_issued_col: bool,
     has_issued_act: bool,
+    /// `Some` while the open rows form one lockstep session.
+    lockstep: Option<Lockstep>,
 }
 
 impl Default for PimChannelTiming {
@@ -142,6 +186,7 @@ impl PimChannelTiming {
             stats: ActivityCounters::default(),
             has_issued_col: false,
             has_issued_act: false,
+            lockstep: None,
         }
     }
 
@@ -316,8 +361,101 @@ impl PimChannelTiming {
         self.apply(cmd)
     }
 
+    /// Closes every open row and opens `row` in all banks: `PREab` followed
+    /// by `ACTab { row }`. Returns the issue time of the `ACTab`.
+    ///
+    /// The result is identical to issuing the two commands through
+    /// [`Self::issue`]. Inside a lockstep row session (all banks opened by
+    /// one `ACTab`, no single-bank ACT/PRE since) the `PREab` constraint is
+    /// computed from channel-level aggregates instead of a per-bank scan:
+    /// every bank shares the `ACTab` time, and the latest read and write
+    /// since it are the per-bank maxima because issue times never decrease.
+    /// After the `PREab` every bank carries the same precharge time, so the
+    /// `ACTab` waits on one `tRP`. Outside a lockstep session both commands
+    /// take the per-bank path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CentError::ProtocolViolation`] as [`Self::issue`] would.
+    pub fn issue_row_switch(&mut self, row: RowAddr) -> CentResult<Time> {
+        let Some(ready) = self.lockstep_pre_ready() else {
+            self.issue(DramCommand::PreAb)?;
+            return self.issue(DramCommand::ActAb { row });
+        };
+        self.commit(DramCommand::PreAb, self.now.max(ready));
+        if self.refresh_enabled && self.now >= self.next_refresh {
+            self.apply(DramCommand::RefAb)?;
+        }
+        // All banks were just precharged (or refreshed) together.
+        let t = self.now.max(self.banks[0].pre_at + self.params.t_rp);
+        self.commit(DramCommand::ActAb { row }, t);
+        Ok(t)
+    }
+
+    /// Earliest `PREab` time from the lockstep aggregates, mirroring
+    /// `pre_ready` maximised over the (all open) banks; `None`
+    /// outside a lockstep session.
+    fn lockstep_pre_ready(&self) -> Option<Time> {
+        let l = self.lockstep?;
+        let p = &self.params;
+        let act = self.last_act_any;
+        let mut t = act + p.t_ras;
+        // A bank never read since an ACTab at time zero still counts
+        // (`last_rd == act_at`), as in `pre_ready`.
+        if l.rd > Time::ZERO || act == Time::ZERO {
+            t = t.max(l.rd + p.t_rtp);
+        }
+        if l.wr > Time::ZERO {
+            t = t.max(l.wr + p.t_cwl + p.t_wr);
+        }
+        Some(t)
+    }
+
+    /// Issues `n` consecutive all-bank MAC beats (`MACab`) inside the open
+    /// row and returns the issue time of the last one.
+    ///
+    /// The result — returned time and the whole channel state, counters
+    /// included — is identical to calling [`Self::issue`] with
+    /// [`DramCommand::MacAb`] `n` times, but only the first beat runs the
+    /// per-bank checks. After it, every constraint except `tCCD_S` is met
+    /// (each bank's `tRCDRD` lies behind the first beat, and the bus clock
+    /// sits at `first + tCCD_S`), and refresh cannot fire because every row
+    /// is open. Beat `i` therefore issues at `first + (i − 1)·tCCD_S`, and
+    /// the state of the last beat covers every earlier one: issue times
+    /// only grow and counters add. The beat's column is not part of the
+    /// timing, so the burst takes none.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CentError::ProtocolViolation`] if `n` is zero or if a bank
+    /// is closed (as [`Self::issue`] would for the first beat).
+    pub fn issue_mac_burst(&mut self, n: u64) -> CentResult<Time> {
+        if n == 0 {
+            return Err(CentError::ProtocolViolation("empty MACab burst".into()));
+        }
+        let beat = DramCommand::MacAb { col: ColAddr(0) };
+        let first = self.issue(beat)?;
+        if n == 1 {
+            return Ok(first);
+        }
+        let last = first + self.params.t_ccds.times(n - 1);
+        // The beats in between leave nothing the last one does not
+        // overwrite or exceed, except their counts.
+        let between = n - 2;
+        self.stats.mac_beats += between * consts::BANKS_PER_CHANNEL as u64;
+        self.stats.commands += between;
+        self.commit(beat, last);
+        Ok(last)
+    }
+
     fn apply(&mut self, cmd: DramCommand) -> CentResult<Time> {
         let t = self.earliest_issue(cmd)?;
+        self.commit(cmd, t);
+        Ok(t)
+    }
+
+    /// Updates the state for `cmd` issued at `t`, which must be legal.
+    fn commit(&mut self, cmd: DramCommand, t: Time) {
         let p = self.params;
         match cmd {
             DramCommand::Act { bank, row } => {
@@ -341,16 +479,23 @@ impl PimChannelTiming {
                 }
                 self.last_act_any = t;
                 self.has_issued_act = true;
+                self.lockstep = Some(Lockstep::default());
                 self.stats.acts += consts::BANKS_PER_CHANNEL as u64;
             }
             DramCommand::Rd { bank, .. } => {
                 self.banks[bank.index()].last_rd = t;
+                if let Some(l) = &mut self.lockstep {
+                    l.rd = t;
+                }
                 self.note_col(t, Some(bank.bank_group()));
                 self.busy_until = self.busy_until.max(t + p.t_cl + p.t_ccds);
                 self.stats.reads += 1;
             }
             DramCommand::Wr { bank, .. } => {
                 self.banks[bank.index()].last_wr = t;
+                if let Some(l) = &mut self.lockstep {
+                    l.wr = t;
+                }
                 self.note_col(t, Some(bank.bank_group()));
                 self.busy_until = self.busy_until.max(t + p.t_cwl + p.t_ccds);
                 self.stats.writes += 1;
@@ -358,6 +503,9 @@ impl PimChannelTiming {
             DramCommand::MacAb { .. } => {
                 for b in &mut self.banks {
                     b.last_rd = t;
+                }
+                if let Some(l) = &mut self.lockstep {
+                    l.rd = t;
                 }
                 self.note_col(t, None);
                 // The PU consumes data tCL after issue and computes in one
@@ -370,6 +518,9 @@ impl PimChannelTiming {
                     b.last_rd = t;
                     b.last_wr = t;
                 }
+                if let Some(l) = &mut self.lockstep {
+                    *l = Lockstep { rd: t, wr: t };
+                }
                 self.note_col(t, None);
                 self.busy_until = self.busy_until.max(t + p.t_cl + p.t_cwl + p.t_ccds);
                 // One EWMUL beat reads from 2 banks and writes 1 per bank
@@ -381,6 +532,7 @@ impl PimChannelTiming {
                 b.open_row = None;
                 b.pre_at = t;
                 b.ever_precharged = true;
+                self.lockstep = None;
                 self.stats.pres += 1;
             }
             DramCommand::PreAb => {
@@ -393,6 +545,7 @@ impl PimChannelTiming {
                         closed += 1;
                     }
                 }
+                self.lockstep = None;
                 self.stats.pres += closed;
             }
             DramCommand::RefAb => {
@@ -405,14 +558,13 @@ impl PimChannelTiming {
                 self.now = self.now.max(t + p.t_rfc);
                 self.busy_until = self.busy_until.max(t + p.t_rfc);
                 self.stats.commands += 1;
-                return Ok(t);
+                return;
             }
         }
         self.stats.commands += 1;
         // Command bus: one command slot per PU cycle.
         self.now = self.now.max(t + p.t_ccds);
         self.busy_until = self.busy_until.max(self.now);
-        Ok(t)
     }
 
     fn note_col(&mut self, t: Time, group: Option<BankGroupId>) {
@@ -439,7 +591,7 @@ pub fn time_trace(commands: &[DramCommand]) -> CentResult<(Time, ActivityCounter
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cent_types::{BankId, ColAddr};
+    use cent_types::BankId;
 
     fn ns(t: Time) -> f64 {
         t.as_ns()
@@ -523,6 +675,40 @@ mod tests {
         // Next row activates at 93 + 16 = 109 ns: the per-row cost the paper's
         // bandwidth efficiency analysis relies on.
         assert_eq!(ns(times[66]), 109.0);
+    }
+
+    #[test]
+    fn mac_burst_is_single_beats_in_closed_form() {
+        let mut burst = PimChannelTiming::new();
+        burst.issue(DramCommand::ActAb { row: RowAddr(0) }).unwrap();
+        let mut single = burst.clone();
+        let last = burst.issue_mac_burst(64).unwrap();
+        let mut t = Time::ZERO;
+        for c in 0..64 {
+            t = single.issue(DramCommand::MacAb { col: ColAddr(c) }).unwrap();
+        }
+        assert_eq!(t, last);
+        // Last beat at 18 + 63 = 81 ns, exactly as the full-row trace above.
+        assert_eq!(ns(last), 81.0);
+        assert_eq!(burst, single);
+        assert_eq!(burst.stats().mac_beats, 64 * 16);
+        assert_eq!(burst.stats().commands, 65);
+    }
+
+    #[test]
+    fn row_switch_after_unread_actab_at_time_zero_waits_for_trtp() {
+        // `pre_ready` counts a never-read bank whose ACT issued at time zero
+        // (last_rd == act_at == 0), so tRTP bounds the PREab when it exceeds
+        // tRAS; the lockstep aggregate must do the same.
+        let params = TimingParams { t_rtp: Time::from_ns(40), ..TimingParams::default() };
+        let mut fused = PimChannelTiming::with_params(params);
+        fused.issue(DramCommand::ActAb { row: RowAddr(0) }).unwrap();
+        let mut reference = fused.clone();
+        let t_pre = reference.issue(DramCommand::PreAb).unwrap();
+        assert_eq!(ns(t_pre), 40.0);
+        let t_act = reference.issue(DramCommand::ActAb { row: RowAddr(1) }).unwrap();
+        assert_eq!(fused.issue_row_switch(RowAddr(1)).unwrap(), t_act);
+        assert_eq!(fused, reference);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!   commands (`ACTab`, `MACab`, `EWMULab`, `PREab`);
 //! * [`PimChannelTiming`] — a per-channel timing state machine enforcing the
 //!   paper's Table 4 constraints (`tRCDRD`=18 ns, `tRAS`=27 ns, `tCL`=25 ns,
-//!   `tRCDWR`=14 ns, `tCCDS`=1 ns, `tRP`=16 ns);
+//!   `tRCDWR`=14 ns, `tCCDS`=1 ns, `tRP`=16 ns), with closed-form lockstep
+//!   paths for MAC bursts and row switches that are bit-identical to
+//!   command-by-command issue;
 //! * [`ActivityCounters`] — per-command activity tallies feeding the
 //!   activity-based power model.
 //!

@@ -8,7 +8,11 @@
 //! Every operation both *computes* (when the channel is in functional mode)
 //! and *advances the DRAM timing model* by issuing the command sequence the
 //! PIM controller would generate, so one code path produces verified values
-//! and cycle counts.
+//! and cycle counts. `MAC_ABK` streams issue one closed-form lockstep burst
+//! per row segment ([`PimChannelTiming::issue_mac_burst`]) and switch rows
+//! with [`PimChannelTiming::issue_row_switch`], in functional and
+//! timing-only channels alike; the functional datapath consumes the beats
+//! one by one beside the burst.
 
 use std::collections::BTreeMap;
 
@@ -190,9 +194,10 @@ impl PimChannel {
             return Ok(());
         }
         if self.open_row.is_some() {
-            self.timing.issue(DramCommand::PreAb)?;
+            self.timing.issue_row_switch(row)?;
+        } else {
+            self.timing.issue(DramCommand::ActAb { row })?;
         }
-        self.timing.issue(DramCommand::ActAb { row })?;
         self.open_row = Some(row);
         Ok(())
     }
@@ -437,45 +442,55 @@ impl PimChannel {
         reg: AccRegId,
         source: MacSource,
     ) -> CentResult<Time> {
+        // One timing burst per row segment; the functional datapath walks
+        // the segment's beats one by one.
         let mut last = Time::ZERO;
         let mut r = row;
         let mut c = col.index();
-        for i in 0..n_beats {
+        let mut done = 0;
+        while done < n_beats {
             if c >= COLS_PER_ROW {
                 r = r.next();
                 c = 0;
             }
+            let len = (COLS_PER_ROW - c).min(n_beats - done);
             self.check_addr(BankId(0), r, ColAddr(c as u32))?;
             self.open_all(r)?;
-            last = self.timing.issue(DramCommand::MacAb { col: ColAddr(c as u32) })?;
+            last = self.timing.issue_mac_burst(len as u64)?;
             if self.functional {
-                match source {
-                    MacSource::GlobalBuffer { slot } => {
-                        let operand = self.global_buffer[(slot + i) % self.global_buffer.len()];
-                        for (p, pu) in self.pus.iter_mut().enumerate() {
-                            let a = self.banks[p].read_beat(r, ColAddr(c as u32));
-                            let dot: f32 = a
-                                .iter()
-                                .zip(operand.iter())
-                                .map(|(x, y)| x.to_f32() * y.to_f32())
-                                .sum();
-                            pu.acc[reg.index()] += dot;
-                        }
-                    }
-                    MacSource::NeighbourBank => {
-                        for k in 0..BANKS_PER_CHANNEL / 2 {
-                            let a = self.banks[2 * k].read_beat(r, ColAddr(c as u32));
-                            let b = self.banks[2 * k + 1].read_beat(r, ColAddr(c as u32));
-                            let dot: f32 =
-                                a.iter().zip(b.iter()).map(|(x, y)| x.to_f32() * y.to_f32()).sum();
-                            self.pus[2 * k].acc[reg.index()] += dot;
-                        }
-                    }
+                for k in 0..len {
+                    self.mac_beat(r, ColAddr((c + k) as u32), done + k, reg, source);
                 }
             }
-            c += 1;
+            done += len;
+            c += len;
         }
         Ok(last)
+    }
+
+    /// Functional effect of beat `i` of a `MAC_ABK` stream, read at
+    /// (`row`, `col`).
+    fn mac_beat(&mut self, row: RowAddr, col: ColAddr, i: usize, reg: AccRegId, source: MacSource) {
+        match source {
+            MacSource::GlobalBuffer { slot } => {
+                let operand = self.global_buffer[(slot + i) % self.global_buffer.len()];
+                for (p, pu) in self.pus.iter_mut().enumerate() {
+                    let a = self.banks[p].read_beat(row, col);
+                    let dot: f32 =
+                        a.iter().zip(operand.iter()).map(|(x, y)| x.to_f32() * y.to_f32()).sum();
+                    pu.acc[reg.index()] += dot;
+                }
+            }
+            MacSource::NeighbourBank => {
+                for k in 0..BANKS_PER_CHANNEL / 2 {
+                    let a = self.banks[2 * k].read_beat(row, col);
+                    let b = self.banks[2 * k + 1].read_beat(row, col);
+                    let dot: f32 =
+                        a.iter().zip(b.iter()).map(|(x, y)| x.to_f32() * y.to_f32()).sum();
+                    self.pus[2 * k].acc[reg.index()] += dot;
+                }
+            }
+        }
     }
 
     /// `EW_MUL`: element-wise multiply within each bank group. For group `g`,

@@ -242,7 +242,6 @@ pub fn scalability_sweep(
             if devices % replicas != 0 {
                 continue;
             }
-            let per = devices / replicas;
             let Ok(mapping) =
                 SystemMapping::plan(cfg, devices, Strategy::DataParallel { replicas })
             else {
@@ -257,7 +256,6 @@ pub fn scalability_sweep(
             if best.is_none_or(|(s, _, _)| score > s) {
                 best = Some((score, replicas, used));
             }
-            let _ = per;
         }
         let Some((_, replicas, used)) = best else { continue };
         let perf = evaluate(cfg, devices, Strategy::DataParallel { replicas }, context)?;

@@ -5,7 +5,7 @@
 //! workspace's deterministic [`Rng64`] stream — same invariants, fixed
 //! seeds, reproducible failures.
 
-use cent_dram::{DramCommand, PimChannelTiming};
+use cent_dram::{DramCommand, PimChannelTiming, TimingParams};
 use cent_isa::{decode as isa_decode, encode as isa_encode, Instruction, MacOperand};
 use cent_types::{
     AccRegId, BankId, Bf16, ChannelId, ChannelMask, ColAddr, DeviceId, Rng64, RowAddr, SbSlot,
@@ -306,6 +306,273 @@ fn dram_earliest_issue_is_legal() {
             let predicted = ch.earliest_issue(DramCommand::MacAb { col }).unwrap();
             let actual = ch.issue(DramCommand::MacAb { col }).unwrap();
             assert_eq!(predicted, actual);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form lockstep paths of the channel timing model, checked against
+// the command-by-command reference (`PimChannelTiming::issue`).
+
+/// How the random history leaves the banks before the command under test.
+#[derive(Clone, Copy, Debug)]
+enum BankSetup {
+    /// One ACTab opened every bank: a lockstep row session.
+    Lockstep,
+    /// A lockstep session with one bank precharged on its own.
+    Partial,
+    /// Every bank opened by its own single-bank ACT, in random order.
+    PerBank,
+    /// A lockstep session in which one bank was re-opened on its own.
+    Broken,
+    /// Every bank precharged.
+    Closed,
+}
+
+const SETUPS: [BankSetup; 5] = [
+    BankSetup::Lockstep,
+    BankSetup::Partial,
+    BankSetup::PerBank,
+    BankSetup::Broken,
+    BankSetup::Closed,
+];
+
+const BANKS: usize = cent_types::consts::BANKS_PER_CHANNEL;
+
+/// An idle gap of 0 ns to past the default 1.9 µs refresh interval.
+fn idle_gap(rng: &mut Rng64, ch: &mut PimChannelTiming) {
+    let ns = [0, 1, 7, 40, 700, 2_500][rng.next_below(6) as usize];
+    ch.advance_to(ch.now() + cent_types::Time::from_ns(ns));
+}
+
+/// A few random column commands (all-bank MAC/EWMUL beats, single-bank
+/// RD/WR) on the banks `open` marks, optionally with idle gaps between.
+fn column_activity(rng: &mut Rng64, ch: &mut PimChannelTiming, open: &[bool], gaps: bool) {
+    for _ in 0..rng.next_below(5) {
+        if gaps {
+            idle_gap(rng, ch);
+        }
+        let bank = BankId(rng.next_below(BANKS as u64) as u16);
+        let col = ColAddr(rng.next_below(64) as u32);
+        let cmd = match rng.next_below(4) {
+            0 => DramCommand::MacAb { col },
+            1 => DramCommand::EwMulAb { col },
+            2 => DramCommand::Rd { bank, col },
+            _ => DramCommand::Wr { bank, col },
+        };
+        let legal = if cmd.is_all_bank() { open.iter().all(|&o| o) } else { open[bank.index()] };
+        if legal {
+            ch.issue(cmd).unwrap();
+        }
+    }
+}
+
+/// Opens a random row in every bank with one ACTab.
+fn open_lockstep(rng: &mut Rng64, ch: &mut PimChannelTiming) -> [bool; BANKS] {
+    ch.issue(DramCommand::ActAb { row: RowAddr(rng.next_below(512) as u32) }).unwrap();
+    [true; BANKS]
+}
+
+/// Random command history on `ch` that ends in the bank state `setup` asks
+/// for. Unless `bare`, it starts with idle gaps (some past the refresh
+/// deadline) and closed row sessions, and the open banks then see random
+/// column commands between gaps; a bare history starts at time zero.
+fn random_history(rng: &mut Rng64, ch: &mut PimChannelTiming, setup: BankSetup, bare: bool) {
+    let mut open = [false; BANKS];
+    if !bare {
+        for _ in 0..rng.next_below(4) {
+            idle_gap(rng, ch);
+            let open = open_lockstep(rng, ch);
+            column_activity(rng, ch, &open, true);
+            if rng.next_below(3) == 0 {
+                let bank = BankId(rng.next_below(BANKS as u64) as u16);
+                ch.issue(DramCommand::Pre { bank }).unwrap();
+            }
+            idle_gap(rng, ch);
+            ch.issue(DramCommand::PreAb).unwrap();
+        }
+        idle_gap(rng, ch);
+    }
+    match setup {
+        BankSetup::Lockstep => open = open_lockstep(rng, ch),
+        BankSetup::Partial => {
+            open = open_lockstep(rng, ch);
+            column_activity(rng, ch, &open, !bare);
+            // Bank 0 half the time: the row switch reads its state.
+            let bank = rng.next_below(2) * rng.next_below(BANKS as u64);
+            ch.issue(DramCommand::Pre { bank: BankId(bank as u16) }).unwrap();
+            open[bank as usize] = false;
+        }
+        BankSetup::PerBank => {
+            let mut order: Vec<usize> = (0..BANKS).collect();
+            for i in (1..BANKS).rev() {
+                order.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            for b in order {
+                if !bare && rng.next_below(4) == 0 {
+                    idle_gap(rng, ch);
+                }
+                let row = RowAddr(rng.next_below(512) as u32);
+                ch.issue(DramCommand::Act { bank: BankId(b as u16), row }).unwrap();
+                open[b] = true;
+            }
+        }
+        BankSetup::Broken => {
+            open = open_lockstep(rng, ch);
+            column_activity(rng, ch, &open, !bare);
+            let bank = BankId(rng.next_below(BANKS as u64) as u16);
+            ch.issue(DramCommand::Pre { bank }).unwrap();
+            ch.issue(DramCommand::Act { bank, row: RowAddr(rng.next_below(512) as u32) }).unwrap();
+        }
+        BankSetup::Closed => {}
+    }
+    if !bare || rng.next_below(2) == 0 {
+        column_activity(rng, ch, &open, !bare);
+    }
+}
+
+/// A fresh channel: the paper's timing half the time, otherwise random
+/// parameters (so orderings the defaults never produce, such as
+/// `tRTP > tRAS`, are covered too), with refresh on or off.
+fn random_channel(rng: &mut Rng64) -> PimChannelTiming {
+    let mut ch = if rng.next_below(2) == 0 {
+        PimChannelTiming::new()
+    } else {
+        let mut ns = |lo: u64, hi: u64| cent_types::Time::from_ns(lo + rng.next_below(hi - lo + 1));
+        let t_rp = ns(1, 30);
+        PimChannelTiming::with_params(TimingParams {
+            t_rcdrd: ns(0, 30),
+            t_rcdwr: ns(0, 30),
+            t_ras: ns(0, 40),
+            t_cl: ns(0, 30),
+            t_ccds: ns(0, 3),
+            t_ccdl: ns(0, 4),
+            t_rp,
+            t_rtp: ns(0, 40),
+            t_wr: ns(0, 30),
+            t_cwl: ns(0, 15),
+            t_rrds: ns(0, 10),
+            t_rfc: t_rp + ns(0, 500),
+            t_refi: ns(500, 3_000),
+        })
+    };
+    if rng.next_below(2) == 0 {
+        ch.enable_refresh();
+    }
+    ch
+}
+
+/// Issues the same random next command on both channels and checks it
+/// lands at the same time with the same resulting state.
+fn next_command_agrees(rng: &mut Rng64, a: &mut PimChannelTiming, b: &mut PimChannelTiming) {
+    let bank = BankId(rng.next_below(16) as u16);
+    let col = ColAddr(rng.next_below(64) as u32);
+    let cmd = match rng.next_below(5) {
+        0 => DramCommand::PreAb,
+        1 => DramCommand::MacAb { col },
+        2 => DramCommand::Rd { bank, col },
+        3 => DramCommand::Wr { bank, col },
+        _ => DramCommand::ActAb { row: RowAddr(rng.next_below(512) as u32) },
+    };
+    assert_eq!(a.earliest_issue(cmd).ok(), b.earliest_issue(cmd).ok(), "{cmd:?}");
+    assert_eq!(a.issue(cmd).ok(), b.issue(cmd).ok(), "{cmd:?}");
+    assert_eq!(a, b, "state after {cmd:?}");
+}
+
+// A closed-form MAC burst of n beats is the n single `issue(MacAb)` calls:
+// same returned time, same channel state (bus clock, busy_until, per-bank
+// last reads, last column, counters), same timing for the next command.
+#[test]
+fn mac_burst_matches_single_beats() {
+    let mut rng = Rng64::seed(0x100F);
+    for case in 0..400 {
+        let mut ch = random_channel(&mut rng);
+        let setup = SETUPS[case % SETUPS.len()];
+        random_history(&mut rng, &mut ch, setup, (case / SETUPS.len()).is_multiple_of(4));
+        let n = 1 + rng.next_below(64);
+        let mut reference = ch.clone();
+        let mut single = Ok(cent_types::Time::ZERO);
+        for i in 0..n {
+            single = reference.issue(DramCommand::MacAb { col: ColAddr((i % 64) as u32) });
+            if single.is_err() {
+                break;
+            }
+        }
+        let burst = ch.issue_mac_burst(n);
+        assert_eq!(burst.ok(), single.ok(), "case {case} ({setup:?}): n = {n}");
+        assert_eq!(ch, reference, "case {case} ({setup:?}): n = {n}");
+        next_command_agrees(&mut rng, &mut ch, &mut reference);
+    }
+    assert!(PimChannelTiming::new().issue_mac_burst(0).is_err());
+}
+
+// The fused row switch is `PREab` then `ACTab`, whether or not the open rows
+// form a lockstep session, with refresh on or off.
+#[test]
+fn row_switch_matches_preab_then_actab() {
+    let mut rng = Rng64::seed(0x1010);
+    for case in 0..400 {
+        let mut ch = random_channel(&mut rng);
+        let setup = SETUPS[case % SETUPS.len()];
+        random_history(&mut rng, &mut ch, setup, (case / SETUPS.len()).is_multiple_of(4));
+        let mut reference = ch.clone();
+        // Switch twice: the second switch leaves a lockstep session that
+        // holds a MAC burst and maybe an idle gap.
+        for switch in 0..2 {
+            let row = RowAddr(rng.next_below(512) as u32);
+            reference.issue(DramCommand::PreAb).unwrap();
+            let want = reference.issue(DramCommand::ActAb { row }).unwrap();
+            assert_eq!(
+                ch.issue_row_switch(row).unwrap(),
+                want,
+                "case {case} ({setup:?}), switch {switch}"
+            );
+            assert_eq!(ch, reference, "case {case} ({setup:?}), switch {switch}");
+            let n = 1 + rng.next_below(64);
+            for _ in 0..n {
+                reference.issue(DramCommand::MacAb { col: ColAddr(0) }).unwrap();
+            }
+            ch.issue_mac_burst(n).unwrap();
+            let gap = cent_types::Time::from_ns([0, 30, 2_500][rng.next_below(3) as usize]);
+            ch.advance_to(ch.now() + gap);
+            reference.advance_to(reference.now() + gap);
+        }
+        next_command_agrees(&mut rng, &mut ch, &mut reference);
+    }
+}
+
+// A functional and a timing-only PIM channel run the same burst timing
+// path: identical issue times, completion and counters, across row wraps.
+#[test]
+fn functional_and_timing_only_mac_abk_agree() {
+    use cent_pim::{MacSource, PimChannel};
+    let mut rng = Rng64::seed(0x1011);
+    for case in 0..60 {
+        let mut functional = PimChannel::functional();
+        let mut timing = PimChannel::timing_only();
+        for _ in 0..1 + rng.next_below(4) {
+            let row = RowAddr(rng.next_below(8) as u32);
+            let col = ColAddr(rng.next_below(64) as u32);
+            let n = 1 + rng.next_below(200) as usize;
+            let reg = AccRegId::new(rng.next_below(32) as u8);
+            let source = if rng.next_below(2) == 0 {
+                MacSource::NeighbourBank
+            } else {
+                MacSource::GlobalBuffer { slot: rng.next_below(64) as usize }
+            };
+            if rng.next_below(2) == 0 {
+                // A single-bank access in between moves the open row.
+                let bank = BankId(rng.next_below(16) as u16);
+                let at = RowAddr(rng.next_below(8) as u32);
+                let a = functional.write_beat(bank, at, col, &cent_pim::ZERO_BEAT).unwrap();
+                let b = timing.write_beat(bank, at, col, &cent_pim::ZERO_BEAT).unwrap();
+                assert_eq!(a, b, "case {case}");
+            }
+            let a = functional.mac_abk(row, col, n, reg, source).unwrap();
+            let b = timing.mac_abk(row, col, n, reg, source).unwrap();
+            assert_eq!(a, b, "case {case}: {n} beats from {row}/{col}");
+            assert_eq!(functional.busy_until(), timing.busy_until(), "case {case}");
+            assert_eq!(functional.activity(), timing.activity(), "case {case}");
         }
     }
 }
