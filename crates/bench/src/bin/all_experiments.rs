@@ -1,5 +1,6 @@
 //! Runs every experiment binary's logic in sequence (synchronously), so one
-//! command regenerates all figures and tables into `results/`.
+//! command regenerates all figures and tables into `results/`. Exits
+//! non-zero, after listing them, if any binary failed or could not start.
 use std::process::Command;
 
 fn main() {
@@ -21,13 +22,19 @@ fn main() {
     ];
     let exe = std::env::current_exe().expect("current exe");
     let dir = exe.parent().expect("bin dir");
+    let mut failed = Vec::new();
     for bin in bins {
         println!("\n──────── running {bin} ────────");
         let status = Command::new(dir.join(bin)).status();
         match status {
-            Ok(s) if s.success() => {}
+            Ok(s) if s.success() => continue,
             Ok(s) => eprintln!("{bin} exited with {s}"),
             Err(e) => eprintln!("{bin} failed to start: {e}"),
         }
+        failed.push(bin);
+    }
+    if !failed.is_empty() {
+        eprintln!("\n{} of {} experiments failed: {}", failed.len(), bins.len(), failed.join(", "));
+        std::process::exit(1);
     }
 }

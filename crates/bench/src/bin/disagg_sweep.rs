@@ -16,12 +16,12 @@
 //! `--smoke` for the CI mode (shorter trace, colocated + one split),
 //! which also asserts the disaggregation invariants: handoffs actually
 //! engaged, the pool capacity bound was never exceeded, the colocated
-//! configuration reproduces the base fleet driver bit for bit, and the
+//! configuration agrees with the colocated entry point bit for bit, and the
 //! split fleet is bit-identical across 1 vs 2 worker threads.
 
 use cent_bench::Report;
 use cent_cluster::{
-    simulate_fleet_disagg, simulate_fleet_instrumented, DisaggConfig, DisaggOutcome, FleetOptions,
+    simulate_fleet_disagg, simulate_fleet_instrumented, DisaggConfig, FleetOptions, FleetOutcome,
     JoinShortestQueue,
 };
 use cent_cxl::FabricConfig;
@@ -40,7 +40,7 @@ fn run(
     opts: &FleetOptions,
     cfg: &DisaggConfig,
     threads: usize,
-) -> DisaggOutcome {
+) -> FleetOutcome {
     let mut router = JoinShortestQueue;
     simulate_fleet_disagg(
         system,
@@ -96,22 +96,22 @@ fn main() {
         "pool peak"
     );
 
-    let mut rows: Vec<(String, DisaggOutcome)> = Vec::new();
+    let mut rows: Vec<(String, FleetOutcome)> = Vec::new();
 
-    // Colocated baseline first: the degenerate configuration must be the
-    // base fleet driver bit for bit — checked in smoke mode, reported in
-    // both.
+    // Colocated baseline first: the colocated configuration must agree
+    // with the colocated entry point bit for bit — checked in smoke mode,
+    // reported in both.
     let colocated = run(&system, &trace, offered, &opts, &DisaggConfig::colocated(groups), 1);
     if smoke {
         let mut router = JoinShortestQueue;
         let base = simulate_fleet_instrumented(&system, &trace, offered, &mut router, &opts);
         assert_eq!(
             colocated.report, base.report,
-            "colocated disagg config must reproduce the base driver's report"
+            "colocated disagg config must reproduce the colocated entry point's report"
         );
         assert_eq!(
             colocated.routed, base.routed,
-            "colocated disagg config must reproduce the base driver's routing"
+            "colocated disagg config must reproduce the colocated entry point's routing"
         );
     }
     rows.push(("colocated".to_string(), colocated));
@@ -165,7 +165,7 @@ fn main() {
          switch-attached CXL KV pool — throughput, TTFT/TBT tails, handoff latency and pool \
          pressure vs the tier split",
     );
-    let series = |f: &dyn Fn(&DisaggOutcome) -> f64| -> Vec<(String, f64)> {
+    let series = |f: &dyn Fn(&FleetOutcome) -> f64| -> Vec<(String, f64)> {
         rows.iter().map(|(x, o)| (x.clone(), f(o))).collect()
     };
     report.push_series("throughput", "tok/s", &series(&|o| o.report.tokens_per_s));

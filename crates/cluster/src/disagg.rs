@@ -1,22 +1,26 @@
-//! Disaggregated prefill/decode fleets over a shared CXL KV pool.
+//! The epoch-grid fleet driver, for colocated and disaggregated
+//! prefill/decode fleets alike.
 //!
-//! The base driver ([`simulate_fleet`](crate::simulate_fleet)) treats
-//! every group as a colocated full-service deployment. This module breaks
-//! that "identical groups" assumption: groups take a [`GroupRole`] —
-//! *prefill-specialized* or *decode-specialized* — and a finished prompt's
-//! KV pages travel between them through the bounded, switch-attached
-//! [`SharedKvPool`] of `cent-cxl`, at a price set by a
+//! Groups take a [`GroupRole`]. A fleet whose groups are all
+//! [`Colocated`](GroupRole::Colocated) serves every request end to end on
+//! one group; [`simulate_fleet`](crate::simulate_fleet) and
+//! [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented) run
+//! [`simulate_fleet_disagg`] with [`DisaggConfig::colocated`]. A *split*
+//! fleet has *prefill-specialized* and *decode-specialized* groups, and a
+//! finished prompt's KV pages travel between them through the bounded,
+//! switch-attached [`SharedKvPool`] of `cent-cxl`, at a price set by a
 //! [`KvSwapCost`] carrying the extra switch-hop term
-//! ([`KvSwapCost::with_switch_hops`]).
+//! ([`KvSwapCost::with_switch_hops`]). The fleet-level determinism
+//! contract and failure semantics are documented in `fleet.rs`.
 //!
-//! # Request lifecycle
+//! # Request lifecycle in a split fleet
 //!
 //! 1. The router dispatches every **arrival** onto a *prefill* group
-//!    (load-snapshot routing, exactly as in the base driver, restricted to
-//!    the prefill subset). The prefill group runs the prompt — chunked
-//!    ([`ServeOptions::with_prefill_chunk`]) so long prompts interleave —
-//!    and emits the request's *first token*, so TTFT is owned end to end
-//!    by the prefill tier.
+//!    (load-snapshot routing over the prefill subset, as a colocated fleet
+//!    routes over every group). The prefill group runs the prompt —
+//!    chunked ([`ServeOptions::with_prefill_chunk`]) so long prompts
+//!    interleave — and emits the request's *first token*, so TTFT is owned
+//!    end to end by the prefill tier.
 //! 2. On completion the driver **publishes** the context (prompt + first
 //!    token) into the shared pool over the group's egress link: capacity
 //!    is reserved up front, the transfer serializes per link, and a
@@ -34,19 +38,17 @@
 //!
 //! All cross-group logic — harvest, publish, claim, steal, routing — runs
 //! single-threaded at epoch stops, so the result is bit-identical across
-//! worker-thread counts just like the base driver. An all-
-//! [`Colocated`](GroupRole::Colocated) configuration delegates to
-//! [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented) verbatim and reproduces its
-//! [`FleetReport`] exactly (enforced by `tests/cluster_props.rs`).
+//! worker-thread counts. On a colocated fleet none of the handoff
+//! pipeline runs and no pool is built.
 //!
-//! # Faults and recovery
+//! # Faults and recovery in a split fleet
 //!
-//! A [`FaultSchedule`](crate::FaultSchedule) on `fleet.faults` injects the
-//! base driver's crash/degrade/straggler events into the split fleet, plus
+//! A [`FaultSchedule`](crate::FaultSchedule) on `fleet.faults` injects
+//! crash/degrade/straggler events into either kind of fleet, plus
 //! [`PoolLinkDegrade`](FaultSpec::PoolLinkDegrade) windows that rescale
 //! the switch-hop handoff cost for publishes and rescues issued inside the
-//! window (the healthy cost is restored *exactly* when the window lifts).
-//! Tier crashes differ by role:
+//! window (the healthy cost is restored *exactly* when the window lifts; a
+//! colocated fleet has no pool to degrade). Tier crashes differ by role:
 //!
 //! * A **prefill** crash orphans incomplete prompts; completed publishes
 //!   are durable — the pool entry, its in-flight transfer and its visible
@@ -62,11 +64,10 @@
 //!   falls back to a bounded re-prefill through the prefill tier
 //!   ([`FaultLog::pool_lost`]).
 //!
-//! [`RecoveryMode`](crate::RecoveryMode) (warm retention, per-tier standby
-//! reserves with role-matched promotion) and the saturation
-//! [`AdmissionPolicy`](crate::AdmissionPolicy) — fed by both tiers' loads
-//! *and* pool occupancy — compose exactly as in the base driver, and the
-//! extended conservation invariant
+//! [`RecoveryMode`](crate::RecoveryMode) keeps a standby reserve per tier
+//! and promotes role-matched spares, and the saturation
+//! [`AdmissionPolicy`](crate::AdmissionPolicy) is fed by both tiers' loads
+//! *and* pool occupancy. The extended conservation invariant
 //! `completed + rejected + dropped + shed = offered` holds. A zero-fault
 //! schedule with an inactive admission policy reproduces the healthy
 //! split driver bit for bit (the pool never parks copies on that path).
@@ -75,15 +76,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cent_cost::KvSwapCost;
 use cent_cxl::SharedKvPool;
-use cent_serving::{
-    GroupOutcome, GroupSim, PriorityClass, RequestRecord, RequestSpec, ServingSystem,
-};
+use cent_serving::{GroupSim, PriorityClass, RequestRecord, RequestSpec, ServingSystem};
 use cent_types::Time;
 
 use crate::admission::fleet_saturation;
 use crate::fault::{FaultSpec, RecoveryMode};
 use crate::fleet::{
-    advance_groups, compile_faults, epoch_ceil, finish_groups, CompiledKind, FaultLog, FleetOptions,
+    advance_groups, compile_faults, epoch_ceil, finish_groups, CompiledKind, FaultLog,
+    FleetOptions, FleetOutcome,
 };
 use crate::report::FleetReport;
 use crate::router::{GroupLoad, RoutingPolicy};
@@ -91,8 +91,7 @@ use crate::router::{GroupLoad, RoutingPolicy};
 /// What one replica group does in a (possibly) disaggregated fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupRole {
-    /// Full-service: prefill and decode on the same group (the base
-    /// driver's only mode).
+    /// Full-service: prefill and decode on the same group.
     Colocated,
     /// Prompt processing only: receives arrivals, emits the first token,
     /// publishes the KV context into the shared pool.
@@ -127,9 +126,9 @@ pub struct DisaggConfig {
 }
 
 impl DisaggConfig {
-    /// The degenerate colocated configuration: `groups` full-service
-    /// groups, no pool. [`simulate_fleet_disagg`] with this config
-    /// reproduces [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented) bit for bit.
+    /// The colocated configuration: `groups` full-service groups, no pool.
+    /// [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented)
+    /// is [`simulate_fleet_disagg`] with this config.
     pub fn colocated(groups: usize) -> Self {
         assert!(groups > 0, "a fleet needs at least one group");
         DisaggConfig {
@@ -211,42 +210,77 @@ pub struct DisaggLog {
     pub pool_occupancy_token_s: f64,
 }
 
-/// Everything one disaggregated fleet run produced.
-#[derive(Debug, Clone)]
-pub struct DisaggOutcome {
-    /// The merged fleet report; `report.disagg` is `Some` iff the
-    /// configuration was actually split.
-    pub report: FleetReport,
-    /// Per-group outcomes, indexed by group. Prefill-role groups hold the
-    /// prompt phase of each request (one decode token); decode-role
-    /// groups hold the remainder.
-    pub groups: Vec<GroupOutcome>,
-    /// Group index each trace entry's *prompt* was *first* dispatched to,
-    /// aligned with the trace (`usize::MAX` for requests never dispatched:
-    /// shed by admission, or dropped with the prefill tier down for good).
-    pub routed: Vec<usize>,
-    /// What the disaggregation machinery did.
-    pub log: DisaggLog,
-    /// What the fault machinery did (default for a fault-free schedule).
-    pub faults: FaultLog,
+/// The prefill → pool → decode handoff state of a split fleet. A
+/// colocated fleet has none: nothing is harvested, published, claimed or
+/// rescued, and no pool is built.
+struct Handoff {
+    pool: SharedKvPool,
+    /// Egress link of each prefill group: its rank within the prefill tier.
+    link_of: BTreeMap<usize, usize>,
+    /// Claims leave parked copies behind for crash rescue. Only on the
+    /// faulted durable path — the healthy driver never parks, keeping the
+    /// zero-fault run bit-identical.
+    park_copies: bool,
+    /// Original specs awaiting their decode phase, by raw id.
+    pending_decode: BTreeMap<u64, RequestSpec>,
+    /// Publishes refused for capacity, retried in `(finished, id)` order.
+    backlog: BTreeMap<(Time, u64), usize>,
+    /// Published entries awaiting a claim, in `(visible, id)` order; the
+    /// value is the pool → device transfer the claiming group will pay.
+    ready_claims: BTreeMap<(Time, u64), Time>,
+    /// Orphans of a decode crash whose parked pool copy survived, keyed
+    /// `(crash instant, id)`: value is the decode-phase spec and the
+    /// parked token count, redispatched at switch-hop cost at the next
+    /// stop with a live decode group.
+    rescue_queue: BTreeMap<(Time, u64), (RequestSpec, u64)>,
+    /// Completion records already harvested, per group.
+    cursors: Vec<usize>,
+    /// Decode-tier load snapshot of the claim phase.
+    decode_loads: Vec<GroupLoad>,
+    log: DisaggLog,
 }
 
-/// Simulates `trace` over a role-split fleet (see the module docs). With
-/// an all-colocated `disagg` config this is exactly
-/// [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented); with a prefill/decode split, prompts
-/// are routed to the prefill tier, contexts hand off through the shared
-/// pool, and the report grows handoff/pool/steal rows
-/// ([`FleetReport::disagg`]). A non-empty `fleet.faults` schedule (or an
-/// active admission policy) additionally produces the degraded-mode
-/// section with pool-rescue and shed accounting.
+impl Handoff {
+    /// Publishes the context of pending request `id`, finished on prefill
+    /// `group` at `ready`, at transfer `cost`. False when the pool refused
+    /// it for capacity.
+    fn publish(&mut self, id: u64, group: usize, ready: Time, cost: &KvSwapCost) -> bool {
+        let spec = self.pending_decode.get(&id).expect("publishing context is pending");
+        let tokens = (spec.prompt + 1) as u64;
+        assert!(
+            tokens <= self.pool.capacity_tokens(),
+            "context of {tokens} tokens can never fit a {}-token pool",
+            self.pool.capacity_tokens()
+        );
+        let transfer = cost.transfer_time(tokens);
+        match self.pool.try_publish(id, tokens, ready, self.link_of[&group], transfer) {
+            Some(visible) => {
+                self.ready_claims.insert((visible, id), transfer);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// Simulates `trace` over a fleet whose groups play `disagg.roles` (see
+/// the module docs) — the one epoch-grid fleet driver. With an
+/// all-colocated config this is
+/// [`simulate_fleet_instrumented`](crate::simulate_fleet_instrumented);
+/// with a prefill/decode split, prompts are routed to the prefill tier,
+/// contexts hand off through the shared pool, and the report grows
+/// handoff/pool/steal rows ([`FleetReport::disagg`]). A non-empty
+/// `fleet.faults` schedule (or an active admission policy) additionally
+/// produces the degraded-mode section with retry, drop and shed (and, on
+/// a split fleet, pool-rescue) accounting.
 ///
 /// # Panics
 ///
 /// Panics if `disagg.roles` does not cover `fleet.groups` exactly, mixes
 /// `Colocated` with specialized roles, lacks a prefill or decode group in
-/// split mode, if a standby reserve does not leave both tiers a serving
-/// group, or if a single context exceeds the pool bound (it could never
-/// publish).
+/// split mode, if a standby reserve does not leave every tier a serving
+/// group, if the fault schedule names a group outside the fleet, or if a
+/// single context exceeds the pool bound (it could never publish).
 pub fn simulate_fleet_disagg(
     system: &ServingSystem,
     trace: &[RequestSpec],
@@ -254,29 +288,23 @@ pub fn simulate_fleet_disagg(
     router: &mut dyn RoutingPolicy,
     fleet: &FleetOptions,
     disagg: &DisaggConfig,
-) -> DisaggOutcome {
+) -> FleetOutcome {
     assert_eq!(disagg.roles.len(), fleet.groups, "roles must cover every group of the fleet");
-    if disagg.is_colocated() {
-        let base =
-            crate::fleet::simulate_fleet_instrumented(system, trace, offered_qps, router, fleet);
-        return DisaggOutcome {
-            report: base.report,
-            groups: base.groups,
-            routed: base.routed,
-            log: DisaggLog::default(),
-            faults: base.faults,
-        };
-    }
-    assert!(
-        disagg.roles.iter().all(|r| *r != GroupRole::Colocated),
-        "a split fleet cannot mix colocated groups with specialized ones"
-    );
-    let prefill_ids: Vec<usize> =
-        (0..fleet.groups).filter(|&g| disagg.roles[g] == GroupRole::Prefill).collect();
+    let split = !disagg.is_colocated();
+    // The entry tier takes arrivals and redispatches: the prefill tier of
+    // a split fleet, every group of a colocated one.
+    let entry_ids: Vec<usize> =
+        (0..fleet.groups).filter(|&g| disagg.roles[g] != GroupRole::Decode).collect();
     let decode_ids: Vec<usize> =
         (0..fleet.groups).filter(|&g| disagg.roles[g] == GroupRole::Decode).collect();
-    assert!(!prefill_ids.is_empty(), "a split fleet needs a prefill tier");
-    assert!(!decode_ids.is_empty(), "a split fleet needs a decode tier");
+    if split {
+        assert!(
+            disagg.roles.iter().all(|r| *r != GroupRole::Colocated),
+            "a split fleet cannot mix colocated groups with specialized ones"
+        );
+        assert!(!entry_ids.is_empty(), "a split fleet needs a prefill tier");
+        assert!(!decode_ids.is_empty(), "a split fleet needs a decode tier");
+    }
     if let Some(g) = fleet.faults.max_group() {
         assert!(
             g < fleet.groups,
@@ -288,7 +316,9 @@ pub fn simulate_fleet_disagg(
     fleet.recovery.validate();
     let epoch_ps = fleet.epoch.as_ps().max(1);
 
-    // Stragglers are construction-time, exactly as in the base driver.
+    // Stragglers are a property of the group, not an event: build the
+    // affected groups from a uniformly slowed system (worst slowdown wins
+    // if a group is named twice).
     let mut slowdowns = vec![1.0f64; fleet.groups];
     for spec in fleet.faults.specs() {
         if let FaultSpec::Straggler { group, slowdown } = *spec {
@@ -312,20 +342,25 @@ pub fn simulate_fleet_disagg(
         })
         .collect();
 
-    let mut pool = SharedKvPool::new(disagg.pool_tokens, prefill_ids.len());
-    // Egress link of each prefill group: its rank within the prefill tier.
-    let link_of: BTreeMap<usize, usize> =
-        prefill_ids.iter().enumerate().map(|(link, &g)| (g, link)).collect();
-    let mut log = DisaggLog { pool_capacity_tokens: disagg.pool_tokens, ..DisaggLog::default() };
-
-    // Fault machinery, mirroring the base driver (shared compiled events).
     let events = compile_faults(&fleet.faults, epoch_ps);
     let faulty = !fleet.faults.is_empty();
     let shedding = fleet.admission.is_active();
+    // Tracking (attempt counts, horizon, the degraded report section)
+    // engages for a fault schedule OR an active admission policy — either
+    // breaks the everything-completes invariant of the healthy path.
     let track = faulty || shedding;
-    // Parked copies engage only on the faulted durable path — the healthy
-    // driver never parks, keeping the zero-fault run bit-identical.
-    let park_copies = faulty && disagg.durable_pool;
+    let mut handoff = split.then(|| Handoff {
+        pool: SharedKvPool::new(disagg.pool_tokens, entry_ids.len()),
+        link_of: entry_ids.iter().enumerate().map(|(link, &g)| (g, link)).collect(),
+        park_copies: faulty && disagg.durable_pool,
+        pending_decode: BTreeMap::new(),
+        backlog: BTreeMap::new(),
+        ready_claims: BTreeMap::new(),
+        rescue_queue: BTreeMap::new(),
+        cursors: vec![0; fleet.groups],
+        decode_loads: Vec::with_capacity(decode_ids.len()),
+        log: DisaggLog { pool_capacity_tokens: disagg.pool_tokens, ..DisaggLog::default() },
+    });
     let mut next_event = 0usize;
     let mut alive = vec![true; fleet.groups];
     let mut down_since: Vec<Option<Time>> = vec![None; fleet.groups];
@@ -337,34 +372,35 @@ pub fn simulate_fleet_disagg(
     let mut cur_handoff: KvSwapCost = disagg.handoff_cost;
     let mut flog = FaultLog::default();
     let mut retries_by_class: BTreeMap<PriorityClass, u64> = BTreeMap::new();
-    // Prefill-tier dispatch counts per raw id (arrivals + redispatches).
+    // Entry-tier dispatch counts per raw id (arrivals + redispatches),
+    // kept on the faulty path only.
     let mut attempts: BTreeMap<u64, u32> = BTreeMap::new();
-    // Re-prefill queue holding ORIGINAL specs, in `(ready, arrival, id)`
+    // Redispatch queue holding TRACE specs, in `(ready, arrival, id)`
     // order: crash orphans waiting out their backoff, and arrivals that
-    // found the prefill tier down.
-    let mut pending_prefill: BTreeMap<(Time, Time, u64), RequestSpec> = BTreeMap::new();
-    // Orphans of a decode crash whose parked pool copy survived, keyed
-    // `(crash instant, id)`: value is the decode-phase spec and the parked
-    // token count, redispatched at switch-hop cost at the next stop with a
-    // live decode group.
-    let mut rescue_queue: BTreeMap<(Time, u64), (RequestSpec, u64)> = BTreeMap::new();
-    // Warm retention, per crashed group (see the base driver).
+    // found the entry tier down.
+    let mut pending: BTreeMap<(Time, Time, u64), RequestSpec> = BTreeMap::new();
+    // Warm retention: per crashed group, the orphans that kept their KV
+    // and re-seed (skipping re-prefill) when the group rejoins.
     let mut retained: BTreeMap<usize, Vec<RequestSpec>> = BTreeMap::new();
+    // Backfills `routed` for out-of-order dispatches and maps orphans back
+    // to their trace specs.
     let id_to_index: BTreeMap<u64, usize> = if faulty {
         trace.iter().enumerate().map(|(i, s)| (s.id.0, i)).collect()
     } else {
         BTreeMap::new()
     };
-    // Standby reserves are per tier: the last `spares` groups of each role
-    // idle outside the serving set, and promotion is role-matched.
+    // Standby reserves are per tier: the last `spares` groups of each tier
+    // idle outside the serving set, and promotion is role-matched (lowest
+    // spare index first); recovered groups refill the reserve. Under
+    // Cold/Warm every group serves from the start.
     let mut in_service = vec![true; fleet.groups];
     let mut spare_pool: BTreeSet<usize> = BTreeSet::new();
     if let RecoveryMode::Standby { spares } = fleet.recovery {
-        assert!(
-            spares < prefill_ids.len() && spares < decode_ids.len(),
-            "a standby reserve of {spares} spares needs more than {spares} groups in each tier"
-        );
-        for tier in [&prefill_ids, &decode_ids] {
+        for tier in [&entry_ids, &decode_ids].into_iter().filter(|t| !t.is_empty()) {
+            assert!(
+                spares < tier.len(),
+                "a standby reserve of {spares} spares needs more than {spares} groups in each tier"
+            );
             for &g in tier.iter().rev().take(spares) {
                 in_service[g] = false;
                 spare_pool.insert(g);
@@ -374,17 +410,10 @@ pub fn simulate_fleet_disagg(
     let slots_per_group = system.total_slots() as u64;
     let kv_budget_per_group = system.kv_budget_tokens() * system.replicas() as u64;
 
-    // Original specs awaiting their decode phase, by raw id.
-    let mut pending_decode: BTreeMap<u64, RequestSpec> = BTreeMap::new();
-    // Publishes refused for capacity, retried in `(finished, id)` order.
-    let mut backlog: BTreeMap<(Time, u64), usize> = BTreeMap::new();
-    // Published entries awaiting a claim, in `(visible, id)` order; the
-    // value is the pool → device transfer the claiming group will pay.
-    let mut ready_claims: BTreeMap<(Time, u64), Time> = BTreeMap::new();
-    let mut cursors = vec![0usize; fleet.groups];
     let mut routed = vec![usize::MAX; trace.len()];
-    let mut prefill_loads: Vec<GroupLoad> = Vec::with_capacity(prefill_ids.len());
-    let mut decode_loads: Vec<GroupLoad> = Vec::with_capacity(decode_ids.len());
+    // Entry-tier load snapshot, followed (for the admission check only) by
+    // the decode tier's.
+    let mut loads: Vec<GroupLoad> = Vec::with_capacity(fleet.groups);
     let mut cursor = 0usize;
     let mut now = Time::ZERO;
     loop {
@@ -395,42 +424,52 @@ pub fn simulate_fleet_disagg(
             "trace must be sorted by arrival"
         );
         // Candidate stops, all on the epoch grid: the epoch of the next
-        // arrival, the next fault event, the first claimable pool entry or
-        // pending rescue (only while a decode group serves — while the
-        // whole tier is down, only a fault event can unblock them), the
-        // next re-prefill ready instant (likewise gated on the prefill
-        // tier), and — while the prefill tier still owes completions or
-        // the backlog holds deferred publishes — the next grid instant, so
-        // harvest keeps polling. A decode tier that is down with no fault
-        // event left can never drain the pipeline: the driver stops
-        // polling (`stalled`) and the leftovers are accounted as drops.
+        // arrival, the next fault event, and the next redispatch-ready
+        // instant (only while an entry group serves — while the whole tier
+        // is down, only a recovery can unblock it). A split fleet adds the
+        // first claimable pool entry or pending rescue (gated on the
+        // decode tier likewise) and — while the prefill tier still owes
+        // completions or the backlog holds deferred publishes — the next
+        // grid instant, so harvest keeps polling. A decode tier that is
+        // down with no fault event left can never drain the pipeline: the
+        // driver stops polling (`stalled`) and the leftovers are accounted
+        // as drops.
         let decode_up = decode_ids.iter().any(|&g| alive[g] && in_service[g]);
-        let prefill_up = prefill_ids.iter().any(|&g| alive[g] && in_service[g]);
+        let entry_up = entry_ids.iter().any(|&g| alive[g] && in_service[g]);
         let arrival_stop =
             trace.get(cursor).map(|s| Time::from_ps((s.arrival.as_ps() / epoch_ps) * epoch_ps));
         let fault_stop = events.get(next_event).map(|e| e.at);
-        let claim_stop = if decode_up {
-            let claim = ready_claims.keys().next().map(|&(vis, _)| epoch_ceil(vis, epoch_ps));
-            let rescue = rescue_queue.keys().next().map(|&(at, _)| epoch_ceil(at, epoch_ps));
-            [claim, rescue].into_iter().flatten().min()
+        let retry_stop = if entry_up {
+            pending.keys().next().map(|&(ready, _, _)| epoch_ceil(ready, epoch_ps))
         } else {
             None
         };
-        let retry_stop = if prefill_up {
-            pending_prefill.keys().next().map(|&(ready, _, _)| epoch_ceil(ready, epoch_ps))
-        } else {
-            None
+        let (claim_stop, busy_stop) = match &handoff {
+            None => (None, None),
+            Some(h) => {
+                let claim_stop = if decode_up {
+                    let claim =
+                        h.ready_claims.keys().next().map(|&(vis, _)| epoch_ceil(vis, epoch_ps));
+                    let rescue =
+                        h.rescue_queue.keys().next().map(|&(at, _)| epoch_ceil(at, epoch_ps));
+                    [claim, rescue].into_iter().flatten().min()
+                } else {
+                    None
+                };
+                let stalled = !decode_up && next_event >= events.len();
+                let busy = !stalled
+                    && (!h.backlog.is_empty()
+                        || entry_ids.iter().any(|&g| sims[g].outstanding() > 0));
+                let busy_stop = busy.then(|| {
+                    Time::from_ps(
+                        (now.as_ps() / epoch_ps + 1)
+                            .checked_mul(epoch_ps)
+                            .expect("epoch grid instant overflows Time"),
+                    )
+                });
+                (claim_stop, busy_stop)
+            }
         };
-        let stalled = !decode_up && next_event >= events.len();
-        let busy = !stalled
-            && (!backlog.is_empty() || prefill_ids.iter().any(|&g| sims[g].outstanding() > 0));
-        let busy_stop = busy.then(|| {
-            Time::from_ps(
-                (now.as_ps() / epoch_ps + 1)
-                    .checked_mul(epoch_ps)
-                    .expect("epoch grid instant overflows Time"),
-            )
-        });
         let Some(stop) = [arrival_stop, fault_stop, claim_stop, retry_stop, busy_stop]
             .into_iter()
             .flatten()
@@ -455,6 +494,8 @@ pub fn simulate_fleet_disagg(
             match e.kind {
                 CompiledKind::Crash { recovers } => {
                     if !alive[e.group] {
+                        // Grid alignment folded this crash into an outage
+                        // already in progress.
                         continue;
                     }
                     alive[e.group] = false;
@@ -464,6 +505,11 @@ pub fn simulate_fleet_disagg(
                     spare_pool.remove(&e.group);
                     let role = disagg.roles[e.group];
                     let orphans = sims[e.group].crash(t);
+                    // Warm recovery deterministically retains the first
+                    // `retained_fraction` of the (arrival, id)-sorted
+                    // orphans on the crashed group: their KV survives and
+                    // re-seeds at recovery instead of re-prefilling. A
+                    // crash that never recovers retains nothing.
                     let keep = match fleet.recovery {
                         RecoveryMode::Warm { retained_fraction } if recovers => {
                             (retained_fraction * orphans.len() as f64).floor() as usize
@@ -473,17 +519,17 @@ pub fn simulate_fleet_disagg(
                     for (i, spec) in orphans.into_iter().enumerate() {
                         flog.orphaned.push((spec.id, t));
                         if i < keep {
-                            // Warm retention: the KV survived on the group
-                            // and re-seeds at recovery (a decode orphan's
-                            // parked copy stays parked until completion).
+                            // A decode orphan's parked copy stays parked
+                            // until completion.
                             retained.entry(e.group).or_default().push(spec);
                             continue;
                         }
                         let id = spec.id.0;
                         if role == GroupRole::Decode {
-                            if park_copies {
-                                if let Some(tokens) = pool.rescue(id) {
-                                    rescue_queue.insert((t, id), (spec, tokens));
+                            let h = handoff.as_mut().expect("a decode group implies a split fleet");
+                            if h.park_copies {
+                                if let Some(tokens) = h.pool.rescue(id) {
+                                    h.rescue_queue.insert((t, id), (spec, tokens));
                                     flog.pool_rescued.push((spec.id, t));
                                     continue;
                                 }
@@ -492,19 +538,24 @@ pub fn simulate_fleet_disagg(
                             // only survives as its prompt — re-prefill.
                             flog.pool_lost += 1;
                         }
+                        // The whole pipeline reruns from the trace spec (a
+                        // prefill group holds a truncated one, a colocated
+                        // group the trace spec itself); the decode phase is
+                        // re-registered when the redispatch lands.
+                        if let Some(h) = handoff.as_mut() {
+                            h.pending_decode.remove(&id);
+                        }
                         let orig = trace[*id_to_index.get(&id).expect("orphan is in the trace")];
                         let n = *attempts.get(&id).expect("orphan was dispatched");
                         if n >= fleet.retry.max_attempts {
                             flog.dropped.push((spec.id, spec.class));
-                            pending_decode.remove(&id);
                         } else {
                             let ready = t + fleet.retry.backoff.times(u64::from(n));
-                            pending_prefill.insert((ready, orig.arrival, id), orig);
-                            // Re-inserted when the re-prefill dispatches.
-                            pending_decode.remove(&id);
+                            pending.insert((ready, orig.arrival, id), orig);
                         }
                     }
-                    // Role-matched standby promotion.
+                    // Standby: backfill the serving set from the tier's
+                    // reserve.
                     if was_serving {
                         if let Some(&spare) = spare_pool.iter().find(|&&s| disagg.roles[s] == role)
                         {
@@ -524,6 +575,10 @@ pub fn simulate_fleet_disagg(
                     flog.down_windows.push((e.group, start, Some(t)));
                     match fleet.recovery {
                         RecoveryMode::Standby { .. } => {
+                            // Rejoin the spare reserve, not the serving
+                            // set (neither warm nor cold counted) — unless
+                            // the tier has no serving group, in which case
+                            // its lowest spare is promoted immediately.
                             in_service[e.group] = false;
                             spare_pool.insert(e.group);
                             let role = disagg.roles[e.group];
@@ -600,210 +655,180 @@ pub fn simulate_fleet_disagg(
             }
         }
 
-        // Tier status after this stop's fault events.
-        let decode_up = decode_ids.iter().any(|&g| alive[g] && in_service[g]);
-        let prefill_up = prefill_ids.iter().any(|&g| alive[g] && in_service[g]);
-
-        // Harvest phase: newly completed prefill phases, merged across
-        // the tier in `(finished, group, id)` order. A single-token
-        // request is finished outright; everything else queues for
-        // publish. Crash-surviving records stay in a group's tail, so
-        // cursors keep working across outages.
-        let mut finished: Vec<(Time, usize, u64)> = Vec::new();
-        for &g in &prefill_ids {
-            let new = sims[g].completions_since(cursors[g]);
-            cursors[g] += new.len();
-            finished.extend(new.iter().map(|r| (r.finished, g, r.spec.id.0)));
-        }
-        finished.sort_unstable();
-        // Decode-tier completions retire their parked pool copies.
-        if park_copies {
-            for &g in &decode_ids {
-                let new = sims[g].completions_since(cursors[g]);
-                cursors[g] += new.len();
-                for r in new {
-                    pool.discard_parked(r.spec.id.0);
-                }
+        if let Some(h) = handoff.as_mut() {
+            // Harvest phase: newly completed prefill phases, merged across
+            // the tier in `(finished, group, id)` order. A single-token
+            // request is finished outright; everything else queues for
+            // publish. Crash-surviving records stay in a group's tail, so
+            // cursors keep working across outages.
+            let mut finished: Vec<(Time, usize, u64)> = Vec::new();
+            for &g in &entry_ids {
+                let new = sims[g].completions_since(h.cursors[g]);
+                h.cursors[g] += new.len();
+                finished.extend(new.iter().map(|r| (r.finished, g, r.spec.id.0)));
             }
-        }
-
-        // Claim phase first: claims free pool capacity, so this stop's
-        // deferred publishes can retry into the space. The decode load
-        // snapshot is taken once over the serving subset, then bumped
-        // optimistically per claim; pool rescues dispatch after the
-        // regular claims, in `(crash instant, id)` order.
-        if decode_up {
-            decode_loads.clear();
-            for &g in &decode_ids {
-                if alive[g] && in_service[g] {
-                    decode_loads.push(GroupLoad {
-                        group: g,
-                        outstanding: sims[g].outstanding(),
-                        kv_tokens: sims[g].kv_reserved(),
-                    });
-                }
-            }
-            while let Some((&(visible, id), &transfer)) = ready_claims.iter().next() {
-                if epoch_ceil(visible, epoch_ps) > t {
-                    break;
-                }
-                ready_claims.remove(&(visible, id));
-                pool.claim(id, t);
-                let spec = pending_decode.remove(&id).expect("claimed context was pending");
-                if park_copies {
-                    // The claim freed the capacity; a capacity-free copy
-                    // stays behind for crash rescue.
-                    pool.park(id, (spec.prompt + 1) as u64, t);
-                }
-                // The decode phase resumes from the published context:
-                // prompt + the first token, remaining tokens to stream.
-                let decode_spec =
-                    RequestSpec { prompt: spec.prompt + 1, decode: spec.decode - 1, ..spec };
-                let mut pos = router.route(&decode_spec, &decode_loads);
-                assert!(
-                    pos < decode_loads.len(),
-                    "router chose position {pos} of {}",
-                    decode_loads.len()
-                );
-                // Steal-from-pool: a drained decode group takes the claim
-                // whenever the router's pick still has work queued.
-                if decode_loads[pos].outstanding > 0 {
-                    if let Some(idle) = decode_loads.iter().position(|l| l.outstanding == 0) {
-                        pos = idle;
-                        log.steals += 1;
+            finished.sort_unstable();
+            // Decode-tier completions retire their parked pool copies.
+            if h.park_copies {
+                for &g in &decode_ids {
+                    let new = sims[g].completions_since(h.cursors[g]);
+                    h.cursors[g] += new.len();
+                    for r in new {
+                        h.pool.discard_parked(r.spec.id.0);
                     }
                 }
-                let g = decode_loads[pos].group;
-                sims[g].push_handoff(decode_spec, t, visible, transfer);
-                decode_loads[pos].outstanding += 1;
-                decode_loads[pos].kv_tokens += decode_spec.kv_tokens();
-                log.handoffs += 1;
             }
-            while let Some((&(crashed, id), &(decode_spec, tokens))) = rescue_queue.iter().next() {
-                rescue_queue.remove(&(crashed, id));
-                // The copy streams out of the pool at the current
-                // (possibly degraded) switch-hop cost; it is re-parked so
-                // a repeated crash can rescue it again.
-                let transfer = cur_handoff.transfer_time(tokens);
-                pool.park(id, tokens, t);
-                let mut pos = router.route(&decode_spec, &decode_loads);
-                assert!(
-                    pos < decode_loads.len(),
-                    "router chose position {pos} of {}",
-                    decode_loads.len()
-                );
-                if decode_loads[pos].outstanding > 0 {
-                    if let Some(idle) = decode_loads.iter().position(|l| l.outstanding == 0) {
-                        pos = idle;
-                        log.steals += 1;
+
+            // Claim phase first: claims free pool capacity, so this stop's
+            // deferred publishes can retry into the space. The decode load
+            // snapshot is taken once over the serving subset (after this
+            // stop's fault events), then bumped optimistically per claim;
+            // pool rescues dispatch after the regular claims, in
+            // `(crash instant, id)` order.
+            if decode_ids.iter().any(|&g| alive[g] && in_service[g]) {
+                h.decode_loads.clear();
+                for &g in &decode_ids {
+                    if alive[g] && in_service[g] {
+                        h.decode_loads.push(GroupLoad {
+                            group: g,
+                            outstanding: sims[g].outstanding(),
+                            kv_tokens: sims[g].kv_reserved(),
+                        });
                     }
                 }
-                let g = decode_loads[pos].group;
-                sims[g].push_handoff(decode_spec, t, t, transfer);
-                decode_loads[pos].outstanding += 1;
-                decode_loads[pos].kv_tokens += decode_spec.kv_tokens();
-                log.handoffs += 1;
-            }
-        }
-
-        // Publish phase: deferred publishes retry first (oldest first),
-        // then this stop's fresh completions, all in deterministic order.
-        // Publishes inside a pool-degrade window pay the degraded cost.
-        let publish = |id: u64,
-                       group: usize,
-                       ready: Time,
-                       pending: &BTreeMap<u64, RequestSpec>,
-                       pool: &mut SharedKvPool,
-                       ready_claims: &mut BTreeMap<(Time, u64), Time>,
-                       cost: &KvSwapCost|
-         -> bool {
-            let spec = pending.get(&id).expect("publishing context is pending");
-            let tokens = (spec.prompt + 1) as u64;
-            assert!(
-                tokens <= disagg.pool_tokens,
-                "context of {tokens} tokens can never fit a {}-token pool",
-                disagg.pool_tokens
-            );
-            let transfer = cost.transfer_time(tokens);
-            let link = link_of[&group];
-            match pool.try_publish(id, tokens, ready, link, transfer) {
-                Some(visible) => {
-                    ready_claims.insert((visible, id), transfer);
-                    true
+                while let Some((&(visible, id), &transfer)) = h.ready_claims.iter().next() {
+                    if epoch_ceil(visible, epoch_ps) > t {
+                        break;
+                    }
+                    h.ready_claims.remove(&(visible, id));
+                    h.pool.claim(id, t);
+                    let spec = h.pending_decode.remove(&id).expect("claimed context was pending");
+                    if h.park_copies {
+                        // The claim freed the capacity; a capacity-free
+                        // copy stays behind for crash rescue.
+                        h.pool.park(id, (spec.prompt + 1) as u64, t);
+                    }
+                    // The decode phase resumes from the published context:
+                    // prompt + the first token, remaining tokens to stream.
+                    let decode_spec =
+                        RequestSpec { prompt: spec.prompt + 1, decode: spec.decode - 1, ..spec };
+                    let mut pos = router.route(&decode_spec, &h.decode_loads);
+                    assert!(
+                        pos < h.decode_loads.len(),
+                        "router chose position {pos} of {}",
+                        h.decode_loads.len()
+                    );
+                    // Steal-from-pool: a drained decode group takes the
+                    // claim whenever the router's pick still has work
+                    // queued.
+                    if h.decode_loads[pos].outstanding > 0 {
+                        if let Some(idle) = h.decode_loads.iter().position(|l| l.outstanding == 0) {
+                            pos = idle;
+                            h.log.steals += 1;
+                        }
+                    }
+                    let g = h.decode_loads[pos].group;
+                    sims[g].push_handoff(decode_spec, t, visible, transfer);
+                    h.decode_loads[pos].outstanding += 1;
+                    h.decode_loads[pos].kv_tokens += decode_spec.kv_tokens();
+                    h.log.handoffs += 1;
                 }
-                None => false,
+                while let Some((&(crashed, id), &(decode_spec, tokens))) =
+                    h.rescue_queue.iter().next()
+                {
+                    h.rescue_queue.remove(&(crashed, id));
+                    // The copy streams out of the pool at the current
+                    // (possibly degraded) switch-hop cost; it is re-parked
+                    // so a repeated crash can rescue it again.
+                    let transfer = cur_handoff.transfer_time(tokens);
+                    h.pool.park(id, tokens, t);
+                    let mut pos = router.route(&decode_spec, &h.decode_loads);
+                    assert!(
+                        pos < h.decode_loads.len(),
+                        "router chose position {pos} of {}",
+                        h.decode_loads.len()
+                    );
+                    if h.decode_loads[pos].outstanding > 0 {
+                        if let Some(idle) = h.decode_loads.iter().position(|l| l.outstanding == 0) {
+                            pos = idle;
+                            h.log.steals += 1;
+                        }
+                    }
+                    let g = h.decode_loads[pos].group;
+                    sims[g].push_handoff(decode_spec, t, t, transfer);
+                    h.decode_loads[pos].outstanding += 1;
+                    h.decode_loads[pos].kv_tokens += decode_spec.kv_tokens();
+                    h.log.handoffs += 1;
+                }
             }
-        };
-        let retries: Vec<((Time, u64), usize)> = backlog.iter().map(|(&k, &g)| (k, g)).collect();
-        for ((first_finished, id), group) in retries {
-            if publish(id, group, t, &pending_decode, &mut pool, &mut ready_claims, &cur_handoff) {
-                backlog.remove(&(first_finished, id));
+
+            // Publish phase: deferred publishes retry first (oldest
+            // first), then this stop's fresh completions, all in
+            // deterministic order. Publishes inside a pool-degrade window
+            // pay the degraded cost.
+            let retries: Vec<((Time, u64), usize)> =
+                h.backlog.iter().map(|(&k, &g)| (k, g)).collect();
+            for ((first_finished, id), group) in retries {
+                if h.publish(id, group, t, &cur_handoff) {
+                    h.backlog.remove(&(first_finished, id));
+                }
             }
-        }
-        for (finish_t, group, id) in finished {
-            let spec = pending_decode.get(&id).expect("completed prompt was pending");
-            if spec.decode <= 1 {
-                log.singles += 1;
-                pending_decode.remove(&id);
-                continue;
-            }
-            if !publish(
-                id,
-                group,
-                finish_t,
-                &pending_decode,
-                &mut pool,
-                &mut ready_claims,
-                &cur_handoff,
-            ) {
-                log.deferred += 1;
-                backlog.insert((finish_t, id), group);
+            for (finish_t, group, id) in finished {
+                let spec = h.pending_decode.get(&id).expect("completed prompt was pending");
+                if spec.decode <= 1 {
+                    h.log.singles += 1;
+                    h.pending_decode.remove(&id);
+                    continue;
+                }
+                if !h.publish(id, group, finish_t, &cur_handoff) {
+                    h.log.deferred += 1;
+                    h.backlog.insert((finish_t, id), group);
+                }
             }
         }
 
-        // Prefill-tier load snapshot over the serving subset, shared by
-        // the redispatch and arrival phases (bumped continuously).
-        prefill_loads.clear();
-        for &g in &prefill_ids {
+        // Entry-tier load snapshot over the serving subset, in group order
+        // (standby spares idle outside the serving set), shared by the
+        // redispatch and arrival phases (bumped continuously).
+        loads.clear();
+        for &g in &entry_ids {
             if alive[g] && in_service[g] {
-                prefill_loads.push(GroupLoad {
+                loads.push(GroupLoad {
                     group: g,
                     outstanding: sims[g].outstanding(),
                     kv_tokens: sims[g].kv_reserved(),
                 });
             }
         }
+        let entry_len = loads.len();
 
-        // Redispatch phase: pending re-prefills whose ready instant has
+        // Redispatch phase: pending requests whose ready instant has
         // aligned to this stop (or earlier), in `(ready, arrival, id)`
-        // order, routed over the serving prefill subset with their
-        // ORIGINAL specs — the whole pipeline reruns from the prompt.
-        if prefill_up && !prefill_loads.is_empty() {
-            while let Some((&key, _)) = pending_prefill.iter().next() {
+        // order, routed over the serving entry subset with their trace
+        // specs — on a split fleet the whole pipeline reruns from the
+        // prompt.
+        if entry_len > 0 {
+            while let Some((&key, _)) = pending.iter().next() {
                 if epoch_ceil(key.0, epoch_ps) > t {
                     break;
                 }
-                let spec = pending_prefill.remove(&key).expect("peeked entry exists");
-                let fits = spec.kv_tokens() <= sims[prefill_ids[0]].kv_budget_tokens();
-                let prefill_spec = if fits { RequestSpec { decode: 1, ..spec } } else { spec };
-                let pos = router.route(&prefill_spec, &prefill_loads);
-                assert!(
-                    pos < prefill_loads.len(),
-                    "router chose position {pos} of {}",
-                    prefill_loads.len()
-                );
-                let g = prefill_loads[pos].group;
-                sims[g].push_redispatch(prefill_spec, t);
-                prefill_loads[pos].outstanding += 1;
-                prefill_loads[pos].kv_tokens += prefill_spec.kv_tokens();
+                let spec = pending.remove(&key).expect("peeked entry exists");
+                let hand_off = split && spec.kv_tokens() <= sims[entry_ids[0]].kv_budget_tokens();
+                let entry_spec = if hand_off { RequestSpec { decode: 1, ..spec } } else { spec };
+                let pos = router.route(&entry_spec, &loads);
+                assert!(pos < loads.len(), "router chose position {pos} of {}", loads.len());
+                let g = loads[pos].group;
+                sims[g].push_redispatch(entry_spec, t);
+                loads[pos].outstanding += 1;
+                loads[pos].kv_tokens += entry_spec.kv_tokens();
                 let n = attempts.entry(spec.id.0).or_insert(0);
                 if *n > 0 {
                     flog.retries += 1;
                     *retries_by_class.entry(spec.class).or_insert(0) += 1;
                 }
                 *n += 1;
-                if fits {
-                    pending_decode.insert(spec.id.0, spec);
+                if let Some(h) = handoff.as_mut().filter(|_| hand_off) {
+                    h.pending_decode.insert(spec.id.0, spec);
                 }
                 let idx = *id_to_index.get(&spec.id.0).expect("pending spec is in the trace");
                 if routed[idx] == usize::MAX {
@@ -812,94 +837,103 @@ pub fn simulate_fleet_disagg(
             }
         }
 
-        // Arrival phase: the epoch's arrivals route over the prefill
-        // tier's boundary snapshot, bumped optimistically. The prefill
-        // phase runs the prompt and emits the first token (`decode: 1`),
-        // so TTFT lands on the prefill group. Admission sheds first —
-        // against both tiers' loads plus pool occupancy — then a down
-        // prefill tier defers what remains.
-        let epoch_end =
-            Time::from_ps(t.as_ps().checked_add(epoch_ps).expect("epoch end overflows Time"));
-        while cursor < trace.len() && trace[cursor].arrival < epoch_end {
-            let spec = trace[cursor];
-            let idx = cursor;
-            cursor += 1;
-            assert!(spec.decode >= 1, "a request generates at least its first token");
-            if shedding {
-                let mut combined = prefill_loads.clone();
+        // Arrival phase: the epoch's arrivals route over the entry tier's
+        // boundary snapshot, bumped optimistically so intra-epoch bursts
+        // still spread. On a split fleet the prefill phase runs the prompt
+        // and emits the first token (`decode: 1`), so TTFT lands on the
+        // prefill group. Admission sheds first — against every serving
+        // group's load plus pool occupancy — then a down entry tier defers
+        // what remains until the next recovery. The decode tier and the
+        // pool do not change during this phase, so their snapshot is taken
+        // once, appended behind the entry loads.
+        let mut pool_load = None;
+        if shedding {
+            if let Some(h) = &handoff {
                 for &g in &decode_ids {
                     if alive[g] && in_service[g] {
-                        combined.push(GroupLoad {
+                        loads.push(GroupLoad {
                             group: g,
                             outstanding: sims[g].outstanding(),
                             kv_tokens: sims[g].kv_reserved(),
                         });
                     }
                 }
-                let sat = fleet_saturation(
-                    &combined,
-                    slots_per_group,
-                    kv_budget_per_group,
-                    Some((pool.used_tokens(), disagg.pool_tokens)),
-                );
+                pool_load = Some((h.pool.used_tokens(), h.pool.capacity_tokens()));
+            }
+        }
+        let epoch_end =
+            Time::from_ps(t.as_ps().checked_add(epoch_ps).expect("epoch end overflows Time"));
+        while cursor < trace.len() && trace[cursor].arrival < epoch_end {
+            let spec = trace[cursor];
+            let idx = cursor;
+            cursor += 1;
+            assert!(!split || spec.decode >= 1, "a request generates at least its first token");
+            if shedding {
+                let sat = fleet_saturation(&loads, slots_per_group, kv_budget_per_group, pool_load);
                 if !fleet.admission.admits(spec.class, sat) {
                     flog.shed.push((spec.id, spec.class));
                     continue;
                 }
             }
-            if prefill_loads.is_empty() {
-                pending_prefill.insert((spec.arrival, spec.arrival, spec.id.0), spec);
+            if entry_len == 0 {
+                pending.insert((spec.arrival, spec.arrival, spec.id.0), spec);
                 continue;
             }
             // A footprint no replica budget can hold is rejected with its
             // *full* spec on the prefill group (as a colocated fleet
             // would), so its truncated prompt phase never runs.
-            let fits = spec.kv_tokens() <= sims[prefill_ids[0]].kv_budget_tokens();
-            let prefill_spec = if fits { RequestSpec { decode: 1, ..spec } } else { spec };
-            let pos = router.route(&prefill_spec, &prefill_loads);
-            assert!(
-                pos < prefill_loads.len(),
-                "router chose position {pos} of {}",
-                prefill_loads.len()
-            );
-            let g = prefill_loads[pos].group;
-            sims[g].push_arrival(prefill_spec);
-            prefill_loads[pos].outstanding += 1;
-            prefill_loads[pos].kv_tokens += prefill_spec.kv_tokens();
+            let hand_off = split && spec.kv_tokens() <= sims[entry_ids[0]].kv_budget_tokens();
+            let entry_spec = if hand_off { RequestSpec { decode: 1, ..spec } } else { spec };
+            let pos = router.route(&entry_spec, &loads[..entry_len]);
+            assert!(pos < entry_len, "router chose position {pos} of {entry_len}");
+            let g = loads[pos].group;
+            sims[g].push_arrival(entry_spec);
+            loads[pos].outstanding += 1;
+            loads[pos].kv_tokens += entry_spec.kv_tokens();
             routed[idx] = g;
             if faulty {
                 *attempts.entry(spec.id.0).or_insert(0) += 1;
             }
-            if fits {
-                pending_decode.insert(spec.id.0, spec);
+            if let Some(h) = handoff.as_mut().filter(|_| hand_off) {
+                h.pending_decode.insert(spec.id.0, spec);
             }
         }
     }
-    debug_assert!(faulty || ready_claims.is_empty(), "every published context was claimed");
-    log.pool_peak_tokens = pool.peak_tokens();
-    log.pool_occupancy_token_s = pool.occupancy_token_seconds();
 
-    // On the faulted path the pipeline can end with work stranded behind
-    // a tier that never came back: undispatchable re-prefills, rescues
-    // with no decode group left, and prompts whose context was never
-    // claimed. All of them are drops (a true single still completes
-    // entirely on its prefill group, so it is not one).
-    if faulty {
-        for (_, spec) in pending_prefill {
-            flog.dropped.push((spec.id, spec.class));
-        }
-        for (_, (spec, _)) in rescue_queue {
-            flog.dropped.push((spec.id, spec.class));
-        }
-        for (_, spec) in pending_decode.iter() {
-            if spec.decode > 1 {
-                flog.dropped.push((spec.id, spec.class));
-            }
-        }
-        debug_assert!(retained.is_empty(), "every warm retention rejoined");
-    } else {
-        debug_assert!(pending_decode.is_empty(), "every admitted prompt resolved its decode phase");
+    // Work stranded behind a tier that never came back is dropped:
+    // undispatchable redispatches, and on a split fleet rescues with no
+    // decode group left and prompts whose context was never claimed (a
+    // true single still completes entirely on its prefill group, so it is
+    // not one).
+    for (_, spec) in pending {
+        flog.dropped.push((spec.id, spec.class));
     }
+    let log = match handoff {
+        None => DisaggLog::default(),
+        Some(mut h) => {
+            debug_assert!(
+                faulty || h.ready_claims.is_empty(),
+                "every published context was claimed"
+            );
+            h.log.pool_peak_tokens = h.pool.peak_tokens();
+            h.log.pool_occupancy_token_s = h.pool.occupancy_token_seconds();
+            if faulty {
+                for (_, (spec, _)) in h.rescue_queue {
+                    flog.dropped.push((spec.id, spec.class));
+                }
+                for spec in h.pending_decode.values().filter(|s| s.decode > 1) {
+                    flog.dropped.push((spec.id, spec.class));
+                }
+            } else {
+                debug_assert!(
+                    h.pending_decode.is_empty(),
+                    "every admitted prompt resolved its decode phase"
+                );
+            }
+            h.log
+        }
+    };
+    debug_assert!(retained.is_empty(), "every warm retention rejoined");
     for (g, since) in down_since.iter().enumerate() {
         if let Some(start) = *since {
             flog.down_windows.push((g, start, None));
@@ -912,14 +946,15 @@ pub fn simulate_fleet_disagg(
 
     let per_group_qps = offered_qps / fleet.groups as f64;
     let outcomes = finish_groups(sims, per_group_qps, fleet.threads);
-    let report = FleetReport::from_outcomes_disagg(
-        offered_qps,
-        &outcomes,
-        &disagg.roles,
-        &log,
-        if track { Some(&flog) } else { None },
-        fleet.serve.slo,
-    );
+    let faults = track.then_some(&flog);
+    let report = if split {
+        let slo = fleet.serve.slo;
+        FleetReport::from_outcomes_disagg(offered_qps, &outcomes, &disagg.roles, &log, faults, slo)
+    } else if let Some(faults) = faults {
+        FleetReport::from_outcomes_faulted(offered_qps, &outcomes, faults)
+    } else {
+        FleetReport::from_outcomes(offered_qps, &outcomes)
+    };
     debug_assert!(
         report.completed + report.rejected + flog.dropped.len() + flog.shed.len() == trace.len(),
         "conservation: {} completed + {} rejected + {} dropped + {} shed != {} offered",
@@ -929,7 +964,7 @@ pub fn simulate_fleet_disagg(
         flog.shed.len(),
         trace.len()
     );
-    DisaggOutcome { report, groups: outcomes, routed, log, faults: flog }
+    FleetOutcome { report, groups: outcomes, routed, faults: flog, log }
 }
 
 /// Joins each handed-off request's prefill- and decode-phase records, by

@@ -1,24 +1,31 @@
-//! The sharded fleet driver: epoch-based routing over N replica groups,
-//! fanned out across `std::thread::scope` workers inside one simulation —
-//! with deterministic fault injection, failover and retry on top.
+//! Fleet options, outcomes and the colocated entry points
+//! ([`simulate_fleet`], [`simulate_fleet_instrumented`]): epoch-based
+//! routing over N replica groups, fanned out across `std::thread::scope`
+//! workers inside one simulation — with deterministic fault injection,
+//! failover and retry on top. One epoch-grid driver,
+//! [`simulate_fleet_disagg`], runs colocated and prefill/decode-split
+//! fleets alike; the colocated entry points call it with
+//! [`DisaggConfig::colocated`].
 //!
 //! # Determinism contract
 //!
 //! The trace is partitioned into fixed-width time *epochs*. The driver
 //! stops at epoch-grid instants — the epoch holding the next arrival, the
 //! next fault event (crash/recover/degrade instants are aligned up to the
-//! grid), or the next retry-ready instant. At each stop it advances every
-//! group to the stop instant, applies due fault events from a single
-//! thread in a fixed `(instant, kind, group)` order, refreshes the
-//! per-group [`GroupLoad`] index from true scheduler state (dead groups
-//! leave the index), and then routes redispatches and the epoch's arrivals
-//! against that snapshot (bumping the index optimistically per
-//! assignment). Routing and fault handling therefore depend only on
-//! (trace, fault schedule, router state, epoch length) — never on worker
-//! interleaving — and each group's simulation is single-threaded and
-//! deterministic, so the merged [`FleetReport`] is bit-identical across
-//! worker-thread counts *for any fault schedule*. Epochs with no work are
-//! coalesced: the driver jumps straight to the next stop.
+//! grid), or the next retry-ready instant; a split fleet also stops for
+//! claimable handoffs and while its prefill tier owes completions. At
+//! each stop it advances every group to the stop instant, applies due
+//! fault events from a single thread in a fixed `(instant, kind, group)`
+//! order, refreshes the per-group [`GroupLoad`](crate::GroupLoad) index
+//! from true scheduler state (dead groups leave the index), and then
+//! routes redispatches and the epoch's arrivals against that snapshot
+//! (bumping the index optimistically per assignment). Routing and fault
+//! handling therefore depend only on (trace, fault schedule, router
+//! state, epoch length) — never on worker interleaving — and each group's
+//! simulation is single-threaded and deterministic, so the merged
+//! [`FleetReport`] is bit-identical across worker-thread counts *for any
+//! fault schedule*. Epochs with no work are coalesced: the driver jumps
+//! straight to the next stop.
 //!
 //! # Failure semantics
 //!
@@ -38,16 +45,15 @@
 //! saturation crosses the class's threshold, extending conservation to
 //! `completed + rejected + dropped + shed = offered`.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use cent_serving::ServingSystem;
 use cent_serving::{GroupOutcome, GroupSim, PriorityClass, RequestId, RequestSpec, ServeOptions};
 use cent_types::Time;
 
-use crate::admission::{fleet_saturation, AdmissionPolicy};
+use crate::admission::AdmissionPolicy;
+use crate::disagg::{simulate_fleet_disagg, DisaggConfig, DisaggLog};
 use crate::fault::{FaultSchedule, FaultSpec, RecoveryMode, RetryPolicy};
 use crate::report::FleetReport;
-use crate::router::{GroupLoad, RoutingPolicy};
+use crate::router::RoutingPolicy;
 
 /// Fleet-level knobs: group count, worker threads, epoch width, the
 /// per-group serving options, and the fault schedule, retry policy,
@@ -203,27 +209,33 @@ pub struct FaultLog {
 }
 
 /// Everything one fleet run produced: the merged report, the per-group
-/// outcomes (in group order), the routing decision per trace entry and the
-/// fault log.
+/// outcomes (in group order), the routing decision per trace entry, the
+/// fault log and the disaggregation log.
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
-    /// The merged fleet-wide report.
+    /// The merged fleet-wide report; `report.disagg` is `Some` iff the
+    /// fleet was split into prefill and decode tiers.
     pub report: FleetReport,
-    /// Per-group outcomes, indexed by group.
+    /// Per-group outcomes, indexed by group. On a split fleet,
+    /// prefill-role groups hold the prompt phase of each request (one
+    /// decode token) and decode-role groups hold the remainder.
     pub groups: Vec<GroupOutcome>,
-    /// Group index each trace entry was *first* dispatched to, aligned
-    /// with the trace (`usize::MAX` for requests never dispatched: shed by
-    /// admission, or dropped because the whole fleet was down on arrival
-    /// and never recovered).
+    /// Group index each trace entry (its *prompt*, on a split fleet) was
+    /// *first* dispatched to, aligned with the trace (`usize::MAX` for
+    /// requests never dispatched: shed by admission, or dropped because
+    /// the entry tier was down on arrival and never recovered).
     pub routed: Vec<usize>,
     /// What the fault machinery did (empty for a fault-free schedule).
     pub faults: FaultLog,
+    /// What the disaggregation machinery did (the default on a colocated
+    /// fleet).
+    pub log: DisaggLog,
 }
 
 /// A fault event compiled onto the epoch grid. At one instant, recoveries
 /// apply before degrade-window edges before crashes (rank order), and
 /// within a kind events apply in compiled order — a fixed, thread-free
-/// total order. Shared with the disaggregated driver.
+/// total order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CompiledFault {
     pub(crate) at: Time,
@@ -255,8 +267,7 @@ pub(crate) fn epoch_ceil(t: Time, epoch_ps: u64) -> Time {
 /// Compiles the schedule onto the epoch grid: every instant is aligned up,
 /// every window spans at least one epoch, and the result is sorted by
 /// `(instant, rank, group)` with compiled order breaking residual ties
-/// (stable sort). Shared with the disaggregated driver; the colocated
-/// driver treats pool-degrade edges as no-ops.
+/// (stable sort).
 pub(crate) fn compile_faults(schedule: &FaultSchedule, epoch_ps: u64) -> Vec<CompiledFault> {
     let mut events = Vec::new();
     for spec in schedule.specs() {
@@ -328,9 +339,9 @@ pub(crate) fn compile_faults(schedule: &FaultSchedule, epoch_ps: u64) -> Vec<Com
     events
 }
 
-/// Simulates `trace` over a fleet of identical replica groups and returns
-/// the merged fleet report. See the module docs for the determinism
-/// contract; `trace` must be sorted by arrival time (as
+/// Simulates `trace` over a fleet of identical colocated replica groups
+/// and returns the merged fleet report. See the module docs for the
+/// determinism contract; `trace` must be sorted by arrival time (as
 /// [`Workload::generate`](cent_serving::Workload::generate) produces).
 pub fn simulate_fleet(
     system: &ServingSystem,
@@ -344,7 +355,8 @@ pub fn simulate_fleet(
 
 /// [`simulate_fleet`], additionally returning per-group outcomes, the
 /// per-request routing decisions and the fault log (property tests,
-/// router and failover studies).
+/// router and failover studies): [`simulate_fleet_disagg`] with
+/// [`DisaggConfig::colocated`].
 pub fn simulate_fleet_instrumented(
     system: &ServingSystem,
     trace: &[RequestSpec],
@@ -352,346 +364,8 @@ pub fn simulate_fleet_instrumented(
     router: &mut dyn RoutingPolicy,
     options: &FleetOptions,
 ) -> FleetOutcome {
-    let epoch_ps = options.epoch.as_ps().max(1);
-    if let Some(g) = options.faults.max_group() {
-        assert!(
-            g < options.groups,
-            "fault schedule names group {g} of a {}-group fleet",
-            options.groups
-        );
-    }
-    assert!(options.retry.max_attempts > 0, "a request needs at least one attempt");
-    options.recovery.validate();
-
-    // Stragglers are a property of the group, not an event: build the
-    // affected groups from a uniformly slowed system (worst slowdown wins
-    // if a group is named twice).
-    let mut slowdowns = vec![1.0f64; options.groups];
-    for spec in options.faults.specs() {
-        if let FaultSpec::Straggler { group, slowdown } = *spec {
-            slowdowns[group] = slowdowns[group].max(slowdown);
-        }
-    }
-    let mut sims: Vec<GroupSim> = slowdowns
-        .iter()
-        .map(|&s| {
-            if s > 1.0 {
-                GroupSim::new(&system.slowed(s), options.serve.clone())
-            } else {
-                GroupSim::new(system, options.serve.clone())
-            }
-        })
-        .collect();
-
-    let events = compile_faults(&options.faults, epoch_ps);
-    let faulty = !options.faults.is_empty();
-    let shedding = options.admission.is_active();
-    // Tracking (attempt counts, horizon, the faulted report path) engages
-    // for a fault schedule OR an active admission policy — either breaks
-    // the everything-completes invariant of the healthy path.
-    let track = faulty || shedding;
-    let mut next_event = 0usize;
-    let mut alive = vec![true; options.groups];
-    let mut down_since: Vec<Option<Time>> = vec![None; options.groups];
-    let mut active_degrades: Vec<f64> = Vec::new();
-    let mut effective_factor = 1.0f64;
-    let mut log = FaultLog::default();
-    let mut retries_by_class: BTreeMap<PriorityClass, u64> = BTreeMap::new();
-
-    // Standby reserve: the last `spares` groups start outside the serving
-    // set and are promoted (lowest index first) when a serving group
-    // crashes; recovered groups refill the reserve. Under Cold/Warm every
-    // group serves from the start.
-    let mut in_service = vec![true; options.groups];
-    let mut spare_pool: BTreeSet<usize> = BTreeSet::new();
-    if let RecoveryMode::Standby { spares } = options.recovery {
-        assert!(
-            spares < options.groups,
-            "standby reserve of {spares} spares needs a fleet larger than {spares}"
-        );
-        for (g, serving) in in_service.iter_mut().enumerate().skip(options.groups - spares) {
-            *serving = false;
-            spare_pool.insert(g);
-        }
-    }
-    // Warm retention: per crashed group, the orphans that kept their KV
-    // and re-seed (skipping re-prefill) when the group rejoins.
-    let mut retained: BTreeMap<usize, Vec<RequestSpec>> = BTreeMap::new();
-
-    // Dispatch bookkeeping, touched only on the faulty path: attempts per
-    // request id, the pending set keyed by `(ready, arrival, id)` (the
-    // deterministic redispatch order), and the id → trace-index map that
-    // backfills `routed` for out-of-order dispatches.
-    let mut attempts: BTreeMap<u64, u32> = BTreeMap::new();
-    let mut pending: BTreeMap<(Time, Time, u64), RequestSpec> = BTreeMap::new();
-    let id_to_index: BTreeMap<u64, usize> = if faulty {
-        trace.iter().enumerate().map(|(i, s)| (s.id.0, i)).collect()
-    } else {
-        BTreeMap::new()
-    };
-
-    let mut loads: Vec<GroupLoad> = Vec::with_capacity(options.groups);
-    let mut routed = vec![usize::MAX; trace.len()];
-    let mut cursor = 0usize;
-    loop {
-        debug_assert!(
-            cursor == 0
-                || cursor >= trace.len()
-                || trace[cursor - 1].arrival <= trace[cursor].arrival,
-            "trace must be sorted by arrival"
-        );
-        // Candidate stops, all on the epoch grid. Retry-ready instants
-        // only count while some group is alive — while the whole fleet is
-        // down, only a recovery (a fault stop) can unblock them.
-        let arrival_stop =
-            trace.get(cursor).map(|s| Time::from_ps((s.arrival.as_ps() / epoch_ps) * epoch_ps));
-        let fault_stop = events.get(next_event).map(|e| e.at);
-        let retry_stop = if alive.iter().zip(in_service.iter()).any(|(&a, &s)| a && s) {
-            pending.keys().next().map(|&(ready, _, _)| epoch_ceil(ready, epoch_ps))
-        } else {
-            None
-        };
-        let Some(t) = [arrival_stop, fault_stop, retry_stop].into_iter().flatten().min() else {
-            break;
-        };
-        advance_groups(&mut sims, t, options.threads);
-
-        // Fault phase: apply every event due at this stop, in compiled
-        // order, from this single thread.
-        while next_event < events.len() && events[next_event].at == t {
-            let e = events[next_event];
-            next_event += 1;
-            match e.kind {
-                CompiledKind::Crash { recovers } => {
-                    if !alive[e.group] {
-                        // Grid alignment folded this crash into an outage
-                        // already in progress.
-                        continue;
-                    }
-                    alive[e.group] = false;
-                    down_since[e.group] = Some(t);
-                    log.crashes += 1;
-                    let was_serving = in_service[e.group];
-                    spare_pool.remove(&e.group);
-                    let orphans = sims[e.group].crash(t);
-                    // Warm recovery deterministically retains the first
-                    // `retained_fraction` of the (arrival, id)-sorted
-                    // orphans on the crashed group: their KV survives and
-                    // re-seeds at recovery instead of re-prefilling. A
-                    // crash that never recovers retains nothing.
-                    let keep = match options.recovery {
-                        RecoveryMode::Warm { retained_fraction } if recovers => {
-                            (retained_fraction * orphans.len() as f64).floor() as usize
-                        }
-                        _ => 0,
-                    };
-                    for (i, spec) in orphans.into_iter().enumerate() {
-                        log.orphaned.push((spec.id, t));
-                        if i < keep {
-                            retained.entry(e.group).or_default().push(spec);
-                            continue;
-                        }
-                        let n = *attempts.get(&spec.id.0).expect("orphan was dispatched");
-                        if n >= options.retry.max_attempts {
-                            log.dropped.push((spec.id, spec.class));
-                        } else {
-                            let ready = t + options.retry.backoff.times(u64::from(n));
-                            pending.insert((ready, spec.arrival, spec.id.0), spec);
-                        }
-                    }
-                    // Standby: backfill the serving set from the reserve,
-                    // lowest spare index first.
-                    if was_serving {
-                        if let Some(&spare) = spare_pool.iter().next() {
-                            spare_pool.remove(&spare);
-                            in_service[spare] = true;
-                            log.promotions += 1;
-                        }
-                    }
-                }
-                CompiledKind::Recover => {
-                    if alive[e.group] {
-                        continue;
-                    }
-                    alive[e.group] = true;
-                    log.recoveries += 1;
-                    let start = down_since[e.group].take().expect("recovering group was down");
-                    log.down_windows.push((e.group, start, Some(t)));
-                    match options.recovery {
-                        RecoveryMode::Standby { .. } => {
-                            // Rejoin the spare reserve, not the serving
-                            // set (neither warm nor cold counted) — unless
-                            // the serving set is empty, in which case the
-                            // lowest spare is promoted immediately.
-                            in_service[e.group] = false;
-                            spare_pool.insert(e.group);
-                            let serving =
-                                alive.iter().zip(in_service.iter()).any(|(&a, &s)| a && s);
-                            if !serving {
-                                let &spare =
-                                    spare_pool.iter().next().expect("just inserted a spare");
-                                spare_pool.remove(&spare);
-                                in_service[spare] = true;
-                                log.promotions += 1;
-                            }
-                        }
-                        RecoveryMode::Warm { .. } => match retained.remove(&e.group) {
-                            Some(kept) if !kept.is_empty() => {
-                                log.warm_rejoins += 1;
-                                for spec in kept {
-                                    sims[e.group].push_warm(spec, t);
-                                }
-                            }
-                            _ => log.cold_rejoins += 1,
-                        },
-                        RecoveryMode::Cold => log.cold_rejoins += 1,
-                    }
-                }
-                CompiledKind::DegradeStart { factor } => {
-                    active_degrades.push(factor);
-                    let eff = active_degrades.iter().copied().fold(1.0, f64::min);
-                    if eff != effective_factor {
-                        effective_factor = eff;
-                        for sim in sims.iter_mut() {
-                            sim.set_host_link_factor(eff);
-                        }
-                    }
-                }
-                CompiledKind::DegradeEnd { factor } => {
-                    let pos = active_degrades
-                        .iter()
-                        .position(|&f| f == factor)
-                        .expect("degrade window was active");
-                    active_degrades.swap_remove(pos);
-                    let eff = active_degrades.iter().copied().fold(1.0, f64::min);
-                    if eff != effective_factor {
-                        effective_factor = eff;
-                        for sim in sims.iter_mut() {
-                            sim.set_host_link_factor(eff);
-                        }
-                    }
-                }
-                // Pool-link windows only affect the shared-pool handoff
-                // path of the disaggregated driver; a colocated fleet has
-                // no pool to degrade.
-                CompiledKind::PoolDegradeStart { .. } | CompiledKind::PoolDegradeEnd { .. } => {}
-            }
-        }
-
-        // Load snapshot over the healthy, in-service subset, in group
-        // order (standby spares idle outside the serving set).
-        loads.clear();
-        for (g, sim) in sims.iter().enumerate() {
-            if alive[g] && in_service[g] {
-                loads.push(GroupLoad {
-                    group: g,
-                    outstanding: sim.outstanding(),
-                    kv_tokens: sim.kv_reserved(),
-                });
-            }
-        }
-
-        // Redispatch phase: pending requests whose ready instant has
-        // aligned to this stop (or earlier), in `(ready, arrival, id)`
-        // order, routed over the healthy subset.
-        if !loads.is_empty() {
-            while let Some((&key, _)) = pending.iter().next() {
-                if epoch_ceil(key.0, epoch_ps) > t {
-                    break;
-                }
-                let spec = pending.remove(&key).expect("peeked entry exists");
-                let pos = router.route(&spec, &loads);
-                assert!(pos < loads.len(), "router chose position {pos} of {}", loads.len());
-                let g = loads[pos].group;
-                sims[g].push_redispatch(spec, t);
-                loads[pos].outstanding += 1;
-                loads[pos].kv_tokens += spec.kv_tokens();
-                let n = attempts.entry(spec.id.0).or_insert(0);
-                if *n > 0 {
-                    log.retries += 1;
-                    *retries_by_class.entry(spec.class).or_insert(0) += 1;
-                }
-                *n += 1;
-                let idx = *id_to_index.get(&spec.id.0).expect("pending spec is in the trace");
-                if routed[idx] == usize::MAX {
-                    routed[idx] = g;
-                }
-            }
-        }
-
-        // Arrival phase: route every arrival of the epoch starting at `t`
-        // against the boundary snapshot, bumping the index optimistically
-        // so intra-epoch bursts still spread. Saturation-shed arrivals
-        // never dispatch; with no live group the rest are deferred until
-        // the next recovery.
-        let epoch_end =
-            Time::from_ps(t.as_ps().checked_add(epoch_ps).expect("epoch end overflows Time"));
-        while cursor < trace.len() && trace[cursor].arrival < epoch_end {
-            let spec = trace[cursor];
-            let idx = cursor;
-            cursor += 1;
-            if shedding {
-                let sat = fleet_saturation(
-                    &loads,
-                    system.total_slots() as u64,
-                    system.kv_budget_tokens() * system.replicas() as u64,
-                    None,
-                );
-                if !options.admission.admits(spec.class, sat) {
-                    log.shed.push((spec.id, spec.class));
-                    continue;
-                }
-            }
-            if loads.is_empty() {
-                pending.insert((spec.arrival, spec.arrival, spec.id.0), spec);
-                continue;
-            }
-            let pos = router.route(&spec, &loads);
-            assert!(pos < loads.len(), "router chose position {pos} of {}", loads.len());
-            let g = loads[pos].group;
-            sims[g].push_arrival(spec);
-            loads[pos].outstanding += 1;
-            loads[pos].kv_tokens += spec.kv_tokens();
-            routed[idx] = g;
-            if faulty {
-                *attempts.entry(spec.id.0).or_insert(0) += 1;
-            }
-        }
-    }
-    // Anything still pending is undispatchable: the fleet died and never
-    // recovered.
-    for (_, spec) in pending {
-        log.dropped.push((spec.id, spec.class));
-    }
-    for (g, since) in down_since.iter().enumerate() {
-        if let Some(start) = *since {
-            log.down_windows.push((g, start, None));
-        }
-    }
-    log.retries_by_class = retries_by_class.into_iter().collect();
-    if track {
-        log.horizon = trace.last().map(|s| s.arrival).unwrap_or(Time::ZERO);
-    }
-
-    let per_group_qps = offered_qps / options.groups as f64;
-    let outcomes = finish_groups(sims, per_group_qps, options.threads);
-    let report = if track {
-        FleetReport::from_outcomes_faulted(offered_qps, &outcomes, &log)
-    } else {
-        FleetReport::from_outcomes(offered_qps, &outcomes)
-    };
-    debug_assert!(
-        !track
-            || report.completed + report.rejected + log.dropped.len() + log.shed.len()
-                == trace.len(),
-        "conservation: {} completed + {} rejected + {} dropped + {} shed != {} offered",
-        report.completed,
-        report.rejected,
-        log.dropped.len(),
-        log.shed.len(),
-        trace.len()
-    );
-    FleetOutcome { report, groups: outcomes, routed, faults: log }
+    let colocated = DisaggConfig::colocated(options.groups);
+    simulate_fleet_disagg(system, trace, offered_qps, router, options, &colocated)
 }
 
 /// Advances every group to `limit`, sharding contiguous chunks across

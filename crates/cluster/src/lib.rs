@@ -12,12 +12,15 @@
 //!   [`PowerOfTwoChoices`] (seeded SplitMix64, deterministic),
 //!   [`RoundRobin`] and [`SessionAffinity`] (pure hash of
 //!   [`RequestSpec::session`](cent_serving::RequestSpec));
-//! * [`simulate_fleet`] — the epoch-based driver: arrivals are routed
-//!   against load snapshots taken at epoch boundaries, each group's
-//!   span-fast-forward engine ([`GroupSim`](cent_serving::GroupSim)) is
-//!   advanced through the epoch by one of `threads` scoped workers, and a
-//!   deterministic merge folds the per-group outcomes — so the result is
-//!   bit-identical across worker-thread counts;
+//! * [`simulate_fleet_disagg`] — the one epoch-based fleet driver, for
+//!   colocated and split fleets alike ([`simulate_fleet`] and
+//!   [`simulate_fleet_instrumented`] run it with an all-colocated
+//!   [`DisaggConfig`]): arrivals are routed against load snapshots taken
+//!   at epoch boundaries, each group's span-fast-forward engine
+//!   ([`GroupSim`](cent_serving::GroupSim)) is advanced through the epoch
+//!   by one of `threads` scoped workers, and a deterministic merge folds
+//!   the per-group outcomes — so the result is bit-identical across
+//!   worker-thread counts;
 //! * [`FleetReport`] — fleet-wide p50/p95/p99 TTFT/TBT/latency, per-class
 //!   rows, per-group utilization spread and router-imbalance metrics,
 //!   with a stable JSON serialisation ([`FleetReport::to_json`]);
@@ -27,7 +30,7 @@
 //!   windows that rescale spill costs mid-run, and per-group stragglers;
 //!   degraded-mode metrics (availability, failover latency, goodput in
 //!   and out of outage windows) land in [`DegradedReport`];
-//! * [`simulate_fleet_disagg`] / [`GroupRole`] — disaggregated
+//! * [`GroupRole`] / [`DisaggConfig::split`] — disaggregated
 //!   prefill/decode serving: prompts route to prefill-specialized groups
 //!   (chunked prefill), finished contexts publish into the bounded
 //!   switch-attached `SharedKvPool` of `cent-cxl` at a costed switch-hop
@@ -97,7 +100,7 @@ mod report;
 mod router;
 
 pub use admission::{fleet_saturation, AdmissionPolicy};
-pub use disagg::{simulate_fleet_disagg, DisaggConfig, DisaggLog, DisaggOutcome, GroupRole};
+pub use disagg::{simulate_fleet_disagg, DisaggConfig, DisaggLog, GroupRole};
 pub use fault::{ChaosRates, FaultPlan, FaultSchedule, FaultSpec, RecoveryMode, RetryPolicy};
 pub use fleet::{
     simulate_fleet, simulate_fleet_instrumented, FaultLog, FleetOptions, FleetOutcome,

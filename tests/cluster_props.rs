@@ -22,7 +22,8 @@
 //!    exactly once on the decode tier, the shared-pool capacity bound is
 //!    never exceeded (publishes defer instead), the split fleet is
 //!    bit-identical across 1/2/8 worker threads with handoffs in flight,
-//!    and an all-`Colocated` configuration reproduces the base driver
+//!    and an all-`Colocated` configuration through
+//!    `simulate_fleet_disagg` agrees with `simulate_fleet_instrumented`
 //!    bit for bit;
 //! 7. `FaultPlan::chaos` behaves at its rate extremes: `crash_rate = 0`
 //!    draws no crashes and conserves every request, `crash_rate = 1`
@@ -639,7 +640,7 @@ fn chaos_saturated_crash_rate_defers_arrivals_through_whole_fleet_outages() {
 
 /// Extended conservation: every offered request is completed, rejected,
 /// dropped or shed — never silently lost.
-fn assert_conserved(out: &cent_cluster::DisaggOutcome, offered: usize) {
+fn assert_conserved(out: &cent_cluster::FleetOutcome, offered: usize) {
     assert_eq!(
         out.report.completed
             + out.report.rejected
