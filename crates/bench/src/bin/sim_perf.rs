@@ -1,51 +1,47 @@
-//! Simulator self-benchmark: the three serving event cores — the
-//! span-fast-forward engine, the phase-bucketed tick engine and the
-//! retained per-token reference loop — measured side by side; the repo's
-//! perf-trajectory artifact.
+//! Simulator self-benchmark: the span-fast-forward serving engine measured
+//! against the retained per-token reference loop, its differential oracle;
+//! the repo's perf-trajectory artifact.
 //!
-//! For each shape, the same trace is served by every selected
-//! [`TickEngine`] and the bin records wall-clock time, simulated tokens
-//! per wall-second, heap events (pushes + pops) per generated token and
-//! heap allocations per token, asserting along the way that all engines'
-//! `ServingReport`s are bit-identical — perf numbers for diverging
-//! simulations would be meaningless. Results print as a table and land in
+//! For each shape, the same trace is served by both [`TickEngine`]s and
+//! the bin records wall-clock time, simulated tokens per wall-second, heap
+//! events (pushes + pops) per generated token and heap allocations per
+//! token, asserting along the way that the two engines' `ServingReport`s
+//! are bit-identical — perf numbers for diverging simulations would be
+//! meaningless. Results print as a table and land in
 //! `results/BENCH_serving_sim.json` (schema documented in the README's
 //! Performance section).
 //!
 //! Run with `cargo run --release --bin sim_perf`; pass `--smoke` for the
 //! CI mode, which uses small synthetic shapes (one clean, one churning the
 //! swap-to-CXL spill tier, one multi-replica under token-granular
-//! pressure), skips the slow planner sweeps, and fails if the fast engines
-//! do not beat the reference on heap traffic (deterministic) and
-//! wall-clock (with noise slack). Both modes end with a cluster shape —
-//! a 64-group fleet of the paper's PP/8 deployment under a diurnal
-//! chatbot load — timing the epoch-driven fleet driver against per-group
-//! reference replays and asserting the merged `FleetReport` is
-//! bit-identical across worker-thread counts. `--engines all` (the default) runs the
-//! full three-engine cross-check in one process; a comma list (e.g.
-//! `--engines bucketed,span`) restricts the measured set — the reference
-//! loop is always included as the ratio baseline. A
-//! `cluster-disagg-4p4d-sharegpt` row times the disaggregated
-//! prefill/decode driver (shared-pool handoffs, chunked prefill) against
-//! the colocated per-token replay of the same trace, and a closing
-//! `cluster-disagg-chaos` row reruns the split fleet under a seeded
-//! disagg-aware chaos schedule — decode-weighted crashes, pool-link
-//! brownouts, warm recovery, bounded retries, admission shedding — to
-//! keep the survivable-disaggregation path on the perf gate.
+//! pressure), skips the slow planner sweeps, and fails if the span engine
+//! does not beat the reference on heap traffic (deterministic) and
+//! wall-clock (with noise slack).
+//!
+//! Both modes end with one table of fleet shapes (`measure_fleets`), each
+//! timing the epoch-driven fleet driver — `GroupSim`'s incremental span
+//! engine inside `simulate_fleet_disagg` — against a per-group per-token
+//! replay of the same trace, and asserting the fleet report and routing
+//! are bit-identical across worker-thread counts: a 64-group fleet of the
+//! paper's PP/8 deployment under a diurnal chatbot load, healthy and under
+//! crash-recovery chaos, and an 8-group 4-prefill/4-decode split over the
+//! shared CXL KV pool on a ShareGPT-like trace, healthy and under
+//! disagg-aware chaos.
 //!
 //! The process installs a counting global allocator: after each measured
-//! run the bin asserts the fast engines allocate (amortised) nothing on
+//! run the bin asserts the span engine allocates (amortised) nothing on
 //! the per-token hot path — preemption victims and tick snapshots land in
 //! run-owned scratch buffers, so steady-state allocations scale with
 //! admissions, not tokens.
 //!
 //! Pass `--check-against <path>` to gate against a committed baseline
 //! (`results/BENCH_serving_sim_baseline.json`): the run fails if any
-//! baseline `(shape, engine)` row regresses by more than 20% on heap
-//! events per token (deterministic) or on the reference→engine wall-clock
+//! baseline shape regresses by more than 20% on the span engine's heap
+//! events per token (deterministic) or on the reference→span wall-clock
 //! speedup (the machine-normalized wall-clock metric — absolute seconds
 //! are not comparable across runners, the engines' ratio on the same
-//! machine is).
+//! machine is), or if the baseline does not hold exactly one span row per
+//! shape.
 
 // The counting global allocator below must implement the unsafe
 // `GlobalAlloc` trait; this is the workspace's one sanctioned use of
@@ -59,14 +55,15 @@ use std::time::Instant;
 use cent_bench::results_dir;
 use cent_cluster::{
     simulate_fleet_disagg, simulate_fleet_instrumented, AdmissionPolicy, ChaosRates, DisaggConfig,
-    FaultPlan, FleetOptions, PowerOfTwoChoices, RecoveryMode, RetryPolicy,
+    FaultPlan, FleetOptions, FleetOutcome, GroupRole, PowerOfTwoChoices, RecoveryMode, RetryPolicy,
 };
 use cent_cost::KvSwapCost;
 use cent_cxl::FabricConfig;
 use cent_model::ModelConfig;
 use cent_serving::{
     ArrivalProcess, ClassMix, KvBudget, KvMode, KvSpillConfig, LengthSampler, LoadCurve,
-    RequestSpec, SchedulerConfig, ServeOptions, ServingSystem, SimStats, TickEngine, Workload,
+    RequestSpec, SchedulerConfig, ServeOptions, ServingReport, ServingSystem, SimStats, TickEngine,
+    Workload,
 };
 use cent_types::{ByteSize, Time};
 
@@ -124,12 +121,8 @@ impl Measurement {
 /// Runs the shape `repeats` times and keeps the *minimum* wall time (the
 /// run least disturbed by scheduler noise — the simulation itself is
 /// deterministic, so stats and report are identical across repeats).
-fn measure(
-    shape: &Shape,
-    engine: TickEngine,
-    repeats: u32,
-) -> (Measurement, cent_serving::ServingReport) {
-    let mut best: Option<(Measurement, cent_serving::ServingReport)> = None;
+fn measure(shape: &Shape, engine: TickEngine, repeats: u32) -> (Measurement, ServingReport) {
+    let mut best: Option<(Measurement, ServingReport)> = None;
     for _ in 0..repeats.max(1) {
         let options = shape.options.clone().with_engine(engine);
         let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -234,8 +227,8 @@ fn full_shapes() -> Vec<Shape> {
         options: ServeOptions::default(),
     });
     // The same deployment (and the same trace) under KV pressure with
-    // token-granular accounting: preemption/recompute churns the buckets,
-    // the engine's worst case.
+    // token-granular accounting: preemption/recompute churns the resident
+    // set, the engine's worst case.
     let slots = system.total_slots() / system.replicas();
     let constrained = system.with_kv_budget(KvBudget::tokens((slots as u64 * 4096).div_ceil(3)));
     shapes.push(Shape {
@@ -258,100 +251,16 @@ fn full_shapes() -> Vec<Shape> {
     });
     shapes
 }
+/// Reference→span wall-clock speedup and heap-event ratio.
+fn ratios(reference: &Measurement, span: &Measurement) -> (f64, f64) {
+    (
+        reference.wall_s / span.wall_s.max(1e-9),
+        reference.stats.heap_events_per_token() / span.stats.heap_events_per_token().max(1e-9),
+    )
+}
 
-/// The fleet smoke shape: a 64-group cluster of the paper's PP/8
-/// deployment under a diurnal chatbot load, routed by seeded power-of-two
-/// choices. The timed pair is (a) the epoch-driven fleet driver —
-/// `GroupSim`'s incremental span engine inside `simulate_fleet` — and
-/// (b) the per-token reference loop replaying each group's routed
-/// sub-trace, so the baseline's `span_wall_speedup` row covers the fleet
-/// path end to end. Along the way the fleet report is asserted
-/// bit-identical across 1 vs 2 worker threads and every group's
-/// incremental report bit-identical to its batch reference run.
-///
-/// A second row — `cluster-crash-recovery` — reruns the same trace under
-/// a seeded [`FaultPlan::chaos`] schedule with a bounded retry policy:
-/// crashes orphan in-flight work onto survivors, degradation windows
-/// shift the spill cost model, and the driver still must stay epochal.
-/// The row asserts thread-count invariance *under faults*, the
-/// `completed + rejected + dropped = offered` conservation invariant,
-/// that availability was actually dented and retries engaged, and rides
-/// the same `--check-against` gate (its reference is the healthy
-/// per-token replay, so the speedup row catches a fault-path slowdown).
-fn measure_cluster(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
-    const GROUPS: usize = 64;
-    let name = "cluster-64xpp8-chatbot-diurnal";
-    let cfg = ModelConfig::llama2_7b();
-    let system = ServingSystem::plan(&cfg, 8, cent_compiler::Strategy::PipelineParallel, 4096)
-        .expect("planning Llama2-7B on 8 devices");
-    let horizon_s = if smoke { 60.0 } else { 600.0 };
-    let rate = 0.9 * GROUPS as f64 * system.capacity_qps(512, 3584);
-    let curve = LoadCurve::diurnal(horizon_s, 0.5, 1.5);
-    let w = Workload::chatbot(rate, 0xCE29);
-    let trace = w.generate_modulated(Time::from_secs_f64(horizon_s), 4096, &curve, 7);
-    let opts = FleetOptions::new(GROUPS).with_epoch(Time::from_secs_f64(0.25));
-
-    let fleet_run = |threads: usize| {
-        let mut router = PowerOfTwoChoices::seeded(0xD1CE);
-        let opts = opts.clone().with_threads(threads);
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let start = Instant::now();
-        let fleet = simulate_fleet_instrumented(&system, &trace, rate, &mut router, &opts);
-        let wall_s = start.elapsed().as_secs_f64();
-        (fleet, wall_s, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
-    };
-    let (fleet, span_wall, span_allocs) = fleet_run(1);
-    let (threaded, _, _) = fleet_run(2);
-    assert_eq!(
-        fleet.report, threaded.report,
-        "{name}: fleet report must be bit-identical across worker-thread counts"
-    );
-    let mut span_stats = SimStats::default();
-    for o in &fleet.groups {
-        span_stats.heap_pushes += o.stats.heap_pushes;
-        span_stats.heap_pops += o.stats.heap_pops;
-        span_stats.tick_events += o.stats.tick_events;
-        span_stats.tokens += o.stats.tokens;
-        span_stats.admissions += o.stats.admissions;
-    }
-
-    // The reference run: each group's routed sub-trace through the
-    // per-token loop, reports cross-checked group by group.
-    let mut sub: Vec<Vec<RequestSpec>> = vec![Vec::new(); GROUPS];
-    for (spec, &g) in trace.iter().zip(&fleet.routed) {
-        sub[g].push(*spec);
-    }
-    let per_group_qps = rate / GROUPS as f64;
-    let ref_options = ServeOptions::default().with_engine(TickEngine::PerTokenReference);
-    let mut ref_stats = SimStats::default();
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    for (g, group_trace) in sub.iter().enumerate() {
-        let (report, stats) =
-            system.serve_trace_instrumented(group_trace, per_group_qps, ref_options.clone());
-        assert_eq!(
-            report, fleet.groups[g].report,
-            "{name}: group {g} fleet run must report identically to the reference loop"
-        );
-        ref_stats.heap_pushes += stats.heap_pushes;
-        ref_stats.heap_pops += stats.heap_pops;
-        ref_stats.tick_events += stats.tick_events;
-        ref_stats.tokens += stats.tokens;
-        ref_stats.admissions += stats.admissions;
-    }
-    let ref_wall = start.elapsed().as_secs_f64();
-    let ref_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-
-    let reference = Measurement { wall_s: ref_wall, stats: ref_stats, allocations: ref_allocs };
-    let span = Measurement { wall_s: span_wall, stats: span_stats, allocations: span_allocs };
-    // The fleet run is two orders of magnitude faster than the reference
-    // replay, so its wall clock is a few milliseconds — too short for a
-    // ±20% gate. Clamp the *recorded* speedup at 20x: the gate then
-    // compares saturated values (stable), and any regression big enough to
-    // matter pulls the true ratio under the cap and trips it.
-    let speedup = (reference.wall_s / span.wall_s.max(1e-9)).min(20.0);
-    let heap_ratio =
-        reference.stats.heap_events_per_token() / span.stats.heap_events_per_token().max(1e-9);
+/// Prints a shape's reference and span table lines.
+fn print_pair(name: &str, reference: &Measurement, span: &Measurement, speedup: f64, ratio: f64) {
     println!(
         "{:>28} {:>9} {:>9.3}s {:>10} {:>9.3} {:>11} {:>9.4} {:>11}",
         name,
@@ -370,452 +279,346 @@ fn measure_cluster(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
         span.wall_s,
         speedup,
         span.stats.heap_events_per_token(),
-        heap_ratio,
+        ratio,
         span.allocations_per_token(),
         span.stats.tokens,
     );
-    // The same deterministic heap-traffic floor the single-system shapes
-    // carry: incremental epoch driving must not reintroduce per-token heap
-    // events. Wall-clock only gates in smoke mode (same noise argument).
-    let churn = fleet.report.preemptions + fleet.report.swaps > 0;
-    let floor = if churn { 3.0 } else { 5.0 };
-    assert!(
-        heap_ratio >= floor,
-        "{name}: fleet heap-event ratio {heap_ratio:.2} < {floor}x vs the reference loop"
-    );
+}
+
+/// The floors every shape carries: the deterministic heap-event ratio
+/// (`None` skips it) and, in smoke mode, "not slower than the reference"
+/// with 25% wall-clock slack — the full run reports the real speedup.
+fn assert_floors(
+    name: &str,
+    reference: &Measurement,
+    span: &Measurement,
+    heap_ratio: f64,
+    floor: Option<f64>,
+    smoke: bool,
+) {
+    if let Some(floor) = floor {
+        assert!(
+            heap_ratio >= floor,
+            "{name}: span heap-event ratio {heap_ratio:.2} < {floor}x vs the reference loop"
+        );
+    }
     if smoke {
         assert!(
             span.wall_s <= 1.25 * reference.wall_s,
-            "{name}: fleet run slower than the per-group reference ({:.3}s vs {:.3}s)",
+            "{name}: span engine slower than the reference ({:.3}s vs {:.3}s)",
             span.wall_s,
             reference.wall_s
         );
     }
-    let row = format!(
-        "    {{\"name\": \"{name}\", \"groups\": {GROUPS}, \"replicas_per_group\": {}, \
-         \"slots_per_replica\": {}, \"sim_tokens\": {}, \"preemptions\": {}, \"swaps\": {},\n     \
-         \"reference\": {},\n     \"span\": {},\n     \"span_wall_speedup\": {:.3}, \
-         \"span_heap_ratio\": {:.3}, \"reports_identical\": true, \"threads_invariant\": true}}",
-        system.replicas(),
-        system.slots_per_replica(),
-        reference.stats.tokens,
-        fleet.report.preemptions,
-        fleet.report.swaps,
-        json_engine(&reference),
-        json_engine(&span),
-        speedup,
-        heap_ratio,
-    );
-    let gate = GateRow {
-        name: name.to_string(),
-        engine: "span",
-        heap_events_per_token: span.stats.heap_events_per_token(),
-        wall_speedup: speedup,
-    };
-
-    // The crash-recovery shape: the identical fleet and trace under a
-    // seeded chaos schedule (default rates: a crash per ~200 group-seconds
-    // with ~10 s outages, host-link brownouts, stragglers) with bounded
-    // retries. Same clamp rationale as above — the healthy per-token
-    // replay is the baseline, so a fault-path slowdown large enough to
-    // matter pulls the saturated ratio under the cap and trips the gate.
-    let fname = "cluster-crash-recovery";
-    let fault_opts = opts
-        .with_faults(FaultPlan::chaos(
-            0xFA01,
-            GROUPS,
-            Time::from_secs_f64(horizon_s),
-            &ChaosRates::default(),
-        ))
-        .with_retry(RetryPolicy { max_attempts: 4, backoff: Time::from_us(50_000) });
-    let fault_run = |threads: usize| {
-        let mut router = PowerOfTwoChoices::seeded(0xD1CE);
-        let opts = fault_opts.clone().with_threads(threads);
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let start = Instant::now();
-        let fleet = simulate_fleet_instrumented(&system, &trace, rate, &mut router, &opts);
-        let wall_s = start.elapsed().as_secs_f64();
-        (fleet, wall_s, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
-    };
-    let (faulted, fault_wall, fault_allocs) = fault_run(1);
-    let (threaded, _, _) = fault_run(2);
-    assert_eq!(
-        faulted.report, threaded.report,
-        "{fname}: faulted fleet report must be bit-identical across worker-thread counts"
-    );
-    let degraded = faulted.report.degraded.as_ref().expect("chaos run reports degraded mode");
-    assert!(degraded.availability < 1.0, "{fname}: crashes must dent availability");
-    assert!(degraded.retries > 0, "{fname}: failover must redispatch orphans");
-    assert_eq!(
-        faulted.report.completed + faulted.report.rejected + degraded.drops,
-        trace.len(),
-        "{fname}: requests leaked from the conservation invariant"
-    );
-    let mut fault_stats = SimStats::default();
-    for o in &faulted.groups {
-        fault_stats.heap_pushes += o.stats.heap_pushes;
-        fault_stats.heap_pops += o.stats.heap_pops;
-        fault_stats.tick_events += o.stats.tick_events;
-        fault_stats.tokens += o.stats.tokens;
-        fault_stats.admissions += o.stats.admissions;
-    }
-    let fault_span =
-        Measurement { wall_s: fault_wall, stats: fault_stats, allocations: fault_allocs };
-    let fault_speedup = (reference.wall_s / fault_span.wall_s.max(1e-9)).min(20.0);
-    let fault_heap_ratio = reference.stats.heap_events_per_token()
-        / fault_span.stats.heap_events_per_token().max(1e-9);
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>10} {:>9.3} {:>11} {:>9.4} {:>11}",
-        fname,
-        "reference",
-        reference.wall_s,
-        "1.00x",
-        reference.stats.heap_events_per_token(),
-        "1.00x",
-        reference.allocations_per_token(),
-        reference.stats.tokens,
-    );
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
-        "",
-        "span",
-        fault_span.wall_s,
-        fault_speedup,
-        fault_span.stats.heap_events_per_token(),
-        fault_heap_ratio,
-        fault_span.allocations_per_token(),
-        fault_span.stats.tokens,
-    );
-    // Retried work means re-admissions, so the churn floor applies — but
-    // crash recovery must not reintroduce per-token heap traffic either.
-    assert!(
-        fault_heap_ratio >= 3.0,
-        "{fname}: faulted fleet heap-event ratio {fault_heap_ratio:.2} < 3x vs the reference loop"
-    );
-    if smoke {
-        assert!(
-            fault_span.wall_s <= 1.25 * reference.wall_s,
-            "{fname}: faulted fleet run slower than the per-group reference ({:.3}s vs {:.3}s)",
-            fault_span.wall_s,
-            reference.wall_s
-        );
-    }
-    let fault_row = format!(
-        "    {{\"name\": \"{fname}\", \"groups\": {GROUPS}, \"replicas_per_group\": {}, \
-         \"slots_per_replica\": {}, \"sim_tokens\": {}, \"crashes\": {}, \"recoveries\": {}, \
-         \"retries\": {}, \"drops\": {}, \"availability\": {:.4},\n     \
-         \"reference\": {},\n     \"span\": {},\n     \"span_wall_speedup\": {:.3}, \
-         \"span_heap_ratio\": {:.3}, \"reports_identical\": true, \"threads_invariant\": true, \
-         \"conservation\": true}}",
-        system.replicas(),
-        system.slots_per_replica(),
-        fault_span.stats.tokens,
-        degraded.crashes,
-        degraded.recoveries,
-        degraded.retries,
-        degraded.drops,
-        degraded.availability,
-        json_engine(&reference),
-        json_engine(&fault_span),
-        fault_speedup,
-        fault_heap_ratio,
-    );
-    let fault_gate = GateRow {
-        name: fname.to_string(),
-        engine: "span",
-        heap_events_per_token: fault_span.stats.heap_events_per_token(),
-        wall_speedup: fault_speedup,
-    };
-    (vec![row, fault_row], vec![gate, fault_gate])
 }
 
-/// The disaggregated fleet shape: an 8-group PP/8 fleet split 4 prefill /
-/// 4 decode over the shared switch-attached KV pool, serving a
-/// ShareGPT-like trace with chunked prefill. The reference is the
-/// *colocated* per-group per-token replay of the same trace (routed by
-/// the colocated epoch driver), so the `span_wall_speedup` row measures
-/// the whole disaggregated pipeline — routing, chunked prefill, publish,
-/// claim, steal — against the per-token loop serving identical work; the
-/// generated-token populations of the two runs are equal, so the heap
-/// ratio compares like with like. Asserts along the way: handoffs
-/// engaged, the pool bound held, and the split fleet is bit-identical
-/// across 1 vs 2 worker threads. Same 20x speedup clamp as the other
-/// cluster rows.
-///
-/// A second row — `cluster-disagg-chaos` — reruns the same split fleet
-/// and trace under a seeded [`FaultPlan::chaos_disagg`] schedule
-/// (decode-tier-weighted crashes, pool-link brownouts) with warm
-/// recovery, bounded retries and an active saturation admission policy:
-/// the survivable-disaggregation path end to end. It asserts thread-count
-/// invariance under disagg faults, the *extended* conservation invariant
-/// (`completed + rejected + dropped + shed = offered`) and that crashed
-/// decode groups' claims came back from the pool's parked copies, and it
-/// rides the same `--check-against` gate with the healthy colocated
-/// replay as its ratio baseline.
-fn measure_disagg(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
-    const GROUPS: usize = 8;
-    let name = "cluster-disagg-4p4d-sharegpt";
-    let cfg = ModelConfig::llama2_7b();
-    let system = ServingSystem::plan(&cfg, 8, cent_compiler::Strategy::PipelineParallel, 4096)
-        .expect("planning Llama2-7B on 8 devices");
-    let horizon_s = if smoke { 60.0 } else { 240.0 };
-    let rate = 0.6 * GROUPS as f64 * system.capacity_qps(160, 210);
-    let w = Workload { lengths: LengthSampler::ShareGpt, ..Workload::chatbot(rate, 0xD15A) };
-    let trace = w.generate(Time::from_secs_f64(horizon_s), 4096);
-    let opts = FleetOptions::new(GROUPS).with_epoch(Time::from_secs_f64(0.25));
-    let dcfg = DisaggConfig::split(
-        4,
-        4,
-        32 * 161,
-        system.swap_cost().with_switch_hops(2, &FabricConfig::cent(32)),
+/// The JSON tail every shape row shares: both engine blocks and the
+/// gated ratios.
+fn json_pair(reference: &Measurement, span: &Measurement, speedup: f64, ratio: f64) -> String {
+    format!(
+        "\"reference\": {},\n     \"span\": {},\n     \"span_wall_speedup\": {speedup:.3}, \
+         \"span_heap_ratio\": {ratio:.3}, \"reports_identical\": true",
+        json_engine(reference),
+        json_engine(span),
     )
-    .with_prefill_chunk(512);
+}
 
-    let disagg_run = |threads: usize| {
-        let mut router = PowerOfTwoChoices::seeded(0xD1CE);
-        let opts = opts.clone().with_threads(threads);
+/// Sums per-group event-core counters into one fleet-wide [`SimStats`].
+fn total_stats<'a>(stats: impl IntoIterator<Item = &'a SimStats>) -> SimStats {
+    stats.into_iter().fold(SimStats::default(), |acc, s| SimStats {
+        heap_pushes: acc.heap_pushes + s.heap_pushes,
+        heap_pops: acc.heap_pops + s.heap_pops,
+        tick_events: acc.tick_events + s.tick_events,
+        tokens: acc.tokens + s.tokens,
+        admissions: acc.admissions + s.admissions,
+    })
+}
+
+fn fleet_stats(out: &FleetOutcome) -> SimStats {
+    total_stats(out.groups.iter().map(|o| &o.stats))
+}
+
+/// Seed of every fleet run's power-of-two-choices router.
+const ROUTER_SEED: u64 = 0xD1CE;
+
+/// A fleet trace and its reference: the healthy colocated fleet routes the
+/// trace, then each group's routed sub-trace replays through the per-token
+/// loop (timed). Every fleet row on the trace divides by this replay —
+/// the faulted and split rows too, so a fault-path or handoff-path
+/// slowdown shows against the same healthy denominator.
+struct FleetTrace {
+    system: ServingSystem,
+    trace: Vec<RequestSpec>,
+    rate: f64,
+    opts: FleetOptions,
+    reference: Measurement,
+    /// Each group's reference report, in group order.
+    reports: Vec<ServingReport>,
+}
+
+impl FleetTrace {
+    fn new(system: &ServingSystem, trace: Vec<RequestSpec>, rate: f64, opts: FleetOptions) -> Self {
+        let mut router = PowerOfTwoChoices::seeded(ROUTER_SEED);
+        let colocated = simulate_fleet_instrumented(system, &trace, rate, &mut router, &opts);
+        let mut sub: Vec<Vec<RequestSpec>> = vec![Vec::new(); opts.groups];
+        for (spec, &g) in trace.iter().zip(&colocated.routed) {
+            sub[g].push(*spec);
+        }
+        let per_group_qps = rate / opts.groups as f64;
+        let options = ServeOptions::default().with_engine(TickEngine::PerTokenReference);
+        let mut reports = Vec::with_capacity(opts.groups);
+        let mut stats = Vec::with_capacity(opts.groups);
         let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
         let start = Instant::now();
-        let out = simulate_fleet_disagg(&system, &trace, rate, &mut router, &opts, &dcfg);
+        for group_trace in &sub {
+            let (report, s) =
+                system.serve_trace_instrumented(group_trace, per_group_qps, options.clone());
+            reports.push(report);
+            stats.push(s);
+        }
+        let wall_s = start.elapsed().as_secs_f64();
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+        let reference = Measurement { wall_s, stats: total_stats(&stats), allocations };
+        FleetTrace { system: system.clone(), trace, rate, opts, reference, reports }
+    }
+}
+
+/// One fleet row: what the fleet runs on top of its [`FleetTrace`], and
+/// what the row checks and records beyond the generic measurement.
+struct FleetShape<'a> {
+    name: &'static str,
+    on: &'a FleetTrace,
+    /// The trace's fleet options plus the row's faults, retries, recovery
+    /// and admission.
+    opts: FleetOptions,
+    dcfg: DisaggConfig,
+    /// Deterministic floor on the reference→span heap-event ratio.
+    floor: f64,
+    /// Asserts the row's own invariants and renders its JSON fields after
+    /// `sim_tokens`.
+    check: fn(&str, &FleetTrace, &FleetOutcome) -> String,
+    /// The JSON flag recording that `check` held, if the row has one.
+    flag: Option<&'static str>,
+}
+
+/// Runs one fleet row at 1 and 2 worker threads, asserts both agree bit
+/// for bit, checks it against its trace's reference replay and returns its
+/// JSON row and gate row.
+fn measure_fleet(shape: &FleetShape, smoke: bool) -> (String, GateRow) {
+    let FleetShape { name, on, dcfg, .. } = shape;
+    let run = |threads: usize| {
+        let mut router = PowerOfTwoChoices::seeded(ROUTER_SEED);
+        let opts = shape.opts.clone().with_threads(threads);
+        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+        let start = Instant::now();
+        let out = simulate_fleet_disagg(&on.system, &on.trace, on.rate, &mut router, &opts, dcfg);
         let wall_s = start.elapsed().as_secs_f64();
         (out, wall_s, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
     };
-    let (out, disagg_wall, disagg_allocs) = disagg_run(1);
-    let (threaded, _, _) = disagg_run(2);
+    let (out, wall_s, allocations) = run(1);
+    let (threaded, _, _) = run(2);
     assert_eq!(
         out.report, threaded.report,
-        "{name}: disaggregated fleet report must be bit-identical across worker-thread counts"
+        "{name}: fleet report must be bit-identical across worker-thread counts"
     );
     assert_eq!(
         out.routed, threaded.routed,
-        "{name}: disaggregated routing must be bit-identical across worker-thread counts"
+        "{name}: fleet routing must be bit-identical across worker-thread counts"
     );
-    assert!(out.log.handoffs > 0, "{name}: the handoff path must engage");
-    assert!(
-        out.log.pool_peak_tokens <= out.log.pool_capacity_tokens,
-        "{name}: pool peak {} exceeded the {}-token bound",
-        out.log.pool_peak_tokens,
-        out.log.pool_capacity_tokens
-    );
-    let mut disagg_stats = SimStats::default();
-    for o in &out.groups {
-        disagg_stats.heap_pushes += o.stats.heap_pushes;
-        disagg_stats.heap_pops += o.stats.heap_pops;
-        disagg_stats.tick_events += o.stats.tick_events;
-        disagg_stats.tokens += o.stats.tokens;
-        disagg_stats.admissions += o.stats.admissions;
-    }
-
-    // The reference: the colocated driver routes the identical trace, and
-    // each group's sub-trace replays through the per-token loop (timed).
-    let mut router = PowerOfTwoChoices::seeded(0xD1CE);
-    let colocated = simulate_fleet_instrumented(&system, &trace, rate, &mut router, &opts);
-    let mut sub: Vec<Vec<RequestSpec>> = vec![Vec::new(); GROUPS];
-    for (spec, &g) in trace.iter().zip(&colocated.routed) {
-        sub[g].push(*spec);
-    }
-    let per_group_qps = rate / GROUPS as f64;
-    let ref_options = ServeOptions::default().with_engine(TickEngine::PerTokenReference);
-    let mut ref_stats = SimStats::default();
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    for group_trace in &sub {
-        let (_, stats) =
-            system.serve_trace_instrumented(group_trace, per_group_qps, ref_options.clone());
-        ref_stats.heap_pushes += stats.heap_pushes;
-        ref_stats.heap_pops += stats.heap_pops;
-        ref_stats.tick_events += stats.tick_events;
-        ref_stats.tokens += stats.tokens;
-        ref_stats.admissions += stats.admissions;
-    }
-    let ref_wall = start.elapsed().as_secs_f64();
-    let ref_allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    assert_eq!(
-        ref_stats.tokens, disagg_stats.tokens,
-        "{name}: the split pipeline must generate exactly the colocated token population"
-    );
-
-    let reference = Measurement { wall_s: ref_wall, stats: ref_stats, allocations: ref_allocs };
-    let span = Measurement { wall_s: disagg_wall, stats: disagg_stats, allocations: disagg_allocs };
-    let speedup = (reference.wall_s / span.wall_s.max(1e-9)).min(20.0);
-    let heap_ratio =
-        reference.stats.heap_events_per_token() / span.stats.heap_events_per_token().max(1e-9);
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>10} {:>9.3} {:>11} {:>9.4} {:>11}",
-        name,
-        "reference",
-        reference.wall_s,
-        "1.00x",
-        reference.stats.heap_events_per_token(),
-        "1.00x",
-        reference.allocations_per_token(),
-        reference.stats.tokens,
-    );
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
-        "",
-        "span",
-        span.wall_s,
-        speedup,
-        span.stats.heap_events_per_token(),
-        heap_ratio,
-        span.allocations_per_token(),
-        span.stats.tokens,
-    );
-    // Disaggregation admits every request twice (prompt on the prefill
-    // tier, remainder on the decode tier), so the heap floor is the churn
-    // tier's, not the clean 5x.
-    assert!(
-        heap_ratio >= 3.0,
-        "{name}: disaggregated heap-event ratio {heap_ratio:.2} < 3x vs the reference loop"
-    );
-    if smoke {
-        assert!(
-            span.wall_s <= 1.25 * reference.wall_s,
-            "{name}: disaggregated run slower than the per-group reference ({:.3}s vs {:.3}s)",
-            span.wall_s,
-            reference.wall_s
-        );
-    }
+    let fields = (shape.check)(name, on, &out);
+    let span = Measurement { wall_s, stats: fleet_stats(&out), allocations };
+    let reference = &on.reference;
+    // The fleet run's wall clock is a few milliseconds — too short for a
+    // ±20% gate. Clamp the *recorded* speedup at 20x: the gate then
+    // compares saturated values (stable), and any regression big enough
+    // to matter pulls the true ratio under the cap and trips it.
+    let (speedup, heap_ratio) = ratios(reference, &span);
+    let speedup = speedup.min(20.0);
+    print_pair(name, reference, &span, speedup, heap_ratio);
+    // Epoch driving, faults and handoffs must not reintroduce per-token
+    // heap events.
+    assert_floors(name, reference, &span, heap_ratio, Some(shape.floor), smoke);
+    let prefill = dcfg.roles.iter().filter(|&&r| r == GroupRole::Prefill).count();
+    let topology = if prefill == 0 {
+        format!(
+            "\"replicas_per_group\": {}, \"slots_per_replica\": {}",
+            on.system.replicas(),
+            on.system.slots_per_replica()
+        )
+    } else {
+        format!("\"prefill_groups\": {prefill}, \"decode_groups\": {}", dcfg.roles.len() - prefill)
+    };
     let row = format!(
-        "    {{\"name\": \"{name}\", \"groups\": {GROUPS}, \"prefill_groups\": 4, \
-         \"decode_groups\": 4, \"sim_tokens\": {}, \"handoffs\": {}, \"steals\": {}, \
-         \"deferred_publishes\": {}, \"pool_peak_tokens\": {},\n     \
-         \"reference\": {},\n     \"span\": {},\n     \"span_wall_speedup\": {:.3}, \
-         \"span_heap_ratio\": {:.3}, \"reports_identical\": true, \"threads_invariant\": true, \
-         \"pool_bound_held\": true}}",
+        "    {{\"name\": \"{name}\", \"groups\": {}, {topology}, \"sim_tokens\": {}, {fields},\n     \
+         {}, \"threads_invariant\": true{}}}",
+        dcfg.roles.len(),
         span.stats.tokens,
-        out.log.handoffs,
-        out.log.steals,
-        out.log.deferred,
-        out.log.pool_peak_tokens,
-        json_engine(&reference),
-        json_engine(&span),
-        speedup,
-        heap_ratio,
+        json_pair(reference, &span, speedup, heap_ratio),
+        shape.flag.map(|f| format!(", \"{f}\": true")).unwrap_or_default(),
     );
     let gate = GateRow {
         name: name.to_string(),
-        engine: "span",
         heap_events_per_token: span.stats.heap_events_per_token(),
         wall_speedup: speedup,
     };
+    (row, gate)
+}
 
-    // The survivable-disaggregation shape: the identical split fleet and
-    // trace under a seeded disagg-aware chaos schedule — decode-tier-
-    // weighted crashes (claimed contexts stranded mid-decode), pool-link
-    // brownouts stretching every transfer in the window — with warm
-    // recovery, bounded retries and an active admission policy. The
-    // healthy colocated replay stays the ratio baseline, so a fault-path
-    // slowdown large enough to matter pulls the saturated speedup under
-    // the 20x clamp and trips the gate.
-    let fname = "cluster-disagg-chaos";
+/// The fleet table, on two traces of the paper's Llama2-7B PP/8
+/// deployment routed by seeded power-of-two choices:
+///
+/// * a 64-group colocated fleet under a diurnal chatbot load — healthy
+///   (every group reports identically to its reference replay), and under a
+///   seeded [`FaultPlan::chaos`] schedule with bounded retries
+///   (`cluster-crash-recovery`: crashes orphan in-flight work onto
+///   survivors, degradation windows shift the spill cost model,
+///   `completed + rejected + dropped = offered`);
+/// * an 8-group fleet split 4 prefill / 4 decode over the shared
+///   switch-attached KV pool with chunked prefill, on a ShareGPT-like
+///   trace — healthy (handoffs engage, the pool bound holds, the split
+///   generates exactly the colocated token population), and under a seeded
+///   [`FaultPlan::chaos_disagg`] schedule with warm recovery, bounded
+///   retries and admission shedding (`cluster-disagg-chaos`: decode-tier
+///   crashes rescue parked pool copies,
+///   `completed + rejected + dropped + shed = offered`).
+///
+/// The clean colocated row carries the 5x heap-ratio floor; the others
+/// re-admit work (retries, rescues, the split's second admission), so
+/// their heap traffic is admission-bound and the floor is 3x.
+fn measure_fleets(smoke: bool) -> (Vec<String>, Vec<GateRow>) {
+    let cfg = ModelConfig::llama2_7b();
+    let system = ServingSystem::plan(&cfg, 8, cent_compiler::Strategy::PipelineParallel, 4096)
+        .expect("planning Llama2-7B on 8 devices");
+    let epoch = Time::from_secs_f64(0.25);
+    let retry = RetryPolicy { max_attempts: 4, backoff: Time::from_us(50_000) };
+
+    let horizon_s = if smoke { 60.0 } else { 600.0 };
+    let rate = 0.9 * 64.0 * system.capacity_qps(512, 3584);
+    let curve = LoadCurve::diurnal(horizon_s, 0.5, 1.5);
+    let w = Workload::chatbot(rate, 0xCE29);
+    let trace = w.generate_modulated(Time::from_secs_f64(horizon_s), 4096, &curve, 7);
+    let colocated = FleetTrace::new(&system, trace, rate, FleetOptions::new(64).with_epoch(epoch));
+    let chaos =
+        FaultPlan::chaos(0xFA01, 64, Time::from_secs_f64(horizon_s), &ChaosRates::default());
+
+    let horizon_s = if smoke { 60.0 } else { 240.0 };
+    let rate = 0.6 * 8.0 * system.capacity_qps(160, 210);
+    let w = Workload { lengths: LengthSampler::ShareGpt, ..Workload::chatbot(rate, 0xD15A) };
+    let trace = w.generate(Time::from_secs_f64(horizon_s), 4096);
+    let split = FleetTrace::new(&system, trace, rate, FleetOptions::new(8).with_epoch(epoch));
+    let hops = system.swap_cost().with_switch_hops(2, &FabricConfig::cent(32));
+    let dcfg = DisaggConfig::split(4, 4, 32 * 161, hops).with_prefill_chunk(512);
     let rates = ChaosRates { decode_crash_mult: 1.5, ..ChaosRates::default() };
-    let fault_opts = opts
-        .clone()
-        .with_faults(FaultPlan::chaos_disagg(
-            0xFA02,
-            &dcfg.roles,
-            Time::from_secs_f64(horizon_s),
-            &rates,
-        ))
-        .with_retry(RetryPolicy { max_attempts: 4, backoff: Time::from_us(50_000) })
-        .with_recovery(RecoveryMode::Warm { retained_fraction: 0.5 })
-        .with_admission(AdmissionPolicy::shed_above(6.0));
-    let chaos_run = |threads: usize| {
-        let mut router = PowerOfTwoChoices::seeded(0xD1CE);
-        let opts = fault_opts.clone().with_threads(threads);
-        let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-        let start = Instant::now();
-        let out = simulate_fleet_disagg(&system, &trace, rate, &mut router, &opts, &dcfg);
-        let wall_s = start.elapsed().as_secs_f64();
-        (out, wall_s, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
-    };
-    let (chaos, chaos_wall, chaos_allocs) = chaos_run(1);
-    let (threaded, _, _) = chaos_run(2);
-    assert_eq!(
-        chaos.report, threaded.report,
-        "{fname}: chaotic disagg report must be bit-identical across worker-thread counts"
-    );
-    assert_eq!(
-        chaos.routed, threaded.routed,
-        "{fname}: chaotic disagg routing must be bit-identical across worker-thread counts"
-    );
-    let degraded = chaos.report.degraded.as_ref().expect("chaos run reports degraded mode");
-    assert!(degraded.crashes > 0, "{fname}: the chaos schedule must actually crash groups");
-    assert_eq!(
-        chaos.report.completed + chaos.report.rejected + degraded.drops + degraded.shed,
-        trace.len(),
-        "{fname}: requests leaked from the extended conservation invariant"
-    );
-    assert!(
-        degraded.pool_rescued > 0,
-        "{fname}: decode-tier crashes must rescue parked pool copies"
-    );
-    let mut chaos_stats = SimStats::default();
-    for o in &chaos.groups {
-        chaos_stats.heap_pushes += o.stats.heap_pushes;
-        chaos_stats.heap_pops += o.stats.heap_pops;
-        chaos_stats.tick_events += o.stats.tick_events;
-        chaos_stats.tokens += o.stats.tokens;
-        chaos_stats.admissions += o.stats.admissions;
-    }
-    let chaos_span =
-        Measurement { wall_s: chaos_wall, stats: chaos_stats, allocations: chaos_allocs };
-    let chaos_speedup = (reference.wall_s / chaos_span.wall_s.max(1e-9)).min(20.0);
-    let chaos_heap_ratio = reference.stats.heap_events_per_token()
-        / chaos_span.stats.heap_events_per_token().max(1e-9);
-    println!(
-        "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
-        fname,
-        "span",
-        chaos_span.wall_s,
-        chaos_speedup,
-        chaos_span.stats.heap_events_per_token(),
-        chaos_heap_ratio,
-        chaos_span.allocations_per_token(),
-        chaos_span.stats.tokens,
-    );
-    // Crash retries and rescues re-admit work, so the churn floor applies;
-    // the fault path must still not reintroduce per-token heap traffic.
-    assert!(
-        chaos_heap_ratio >= 3.0,
-        "{fname}: chaotic disagg heap-event ratio {chaos_heap_ratio:.2} < 3x vs the reference loop"
-    );
-    if smoke {
-        assert!(
-            chaos_span.wall_s <= 1.25 * reference.wall_s,
-            "{fname}: chaotic disagg run slower than the per-group reference ({:.3}s vs {:.3}s)",
-            chaos_span.wall_s,
-            reference.wall_s
-        );
-    }
-    let chaos_row = format!(
-        "    {{\"name\": \"{fname}\", \"groups\": {GROUPS}, \"prefill_groups\": 4, \
-         \"decode_groups\": 4, \"sim_tokens\": {}, \"crashes\": {}, \"pool_rescued\": {}, \
-         \"pool_lost\": {}, \"warm_rejoins\": {}, \"shed\": {}, \"availability\": {:.4},\n     \
-         \"reference\": {},\n     \"span\": {},\n     \"span_wall_speedup\": {:.3}, \
-         \"span_heap_ratio\": {:.3}, \"reports_identical\": true, \"threads_invariant\": true, \
-         \"conservation\": true}}",
-        chaos_span.stats.tokens,
-        degraded.crashes,
-        degraded.pool_rescued,
-        degraded.pool_lost,
-        degraded.warm_rejoins,
-        degraded.shed,
-        degraded.availability,
-        json_engine(&reference),
-        json_engine(&chaos_span),
-        chaos_speedup,
-        chaos_heap_ratio,
-    );
-    let chaos_gate = GateRow {
-        name: fname.to_string(),
-        engine: "span",
-        heap_events_per_token: chaos_span.stats.heap_events_per_token(),
-        wall_speedup: chaos_speedup,
-    };
-    (vec![row, chaos_row], vec![gate, chaos_gate])
+    let split_chaos =
+        FaultPlan::chaos_disagg(0xFA02, &dcfg.roles, Time::from_secs_f64(horizon_s), &rates);
+
+    let shapes = [
+        FleetShape {
+            name: "cluster-64xpp8-chatbot-diurnal",
+            on: &colocated,
+            opts: colocated.opts.clone(),
+            dcfg: DisaggConfig::colocated(64),
+            floor: 5.0,
+            check: |name, on, out| {
+                for (g, (o, reference)) in out.groups.iter().zip(&on.reports).enumerate() {
+                    assert_eq!(
+                        &o.report, reference,
+                        "{name}: group {g} fleet run must report identically to the reference loop"
+                    );
+                }
+                assert_eq!(
+                    fleet_stats(out).tokens,
+                    on.reference.stats.tokens,
+                    "{name}: the fleet must generate exactly the reference token population"
+                );
+                format!(
+                    "\"preemptions\": {}, \"swaps\": {}",
+                    out.report.preemptions, out.report.swaps
+                )
+            },
+            flag: None,
+        },
+        FleetShape {
+            name: "cluster-crash-recovery",
+            on: &colocated,
+            opts: colocated.opts.clone().with_faults(chaos).with_retry(retry),
+            dcfg: DisaggConfig::colocated(64),
+            floor: 3.0,
+            check: |name, on, out| {
+                let d = out.report.degraded.as_ref().expect("chaos run reports degraded mode");
+                assert!(d.availability < 1.0, "{name}: crashes must dent availability");
+                assert!(d.retries > 0, "{name}: failover must redispatch orphans");
+                assert_eq!(
+                    out.report.completed + out.report.rejected + d.drops,
+                    on.trace.len(),
+                    "{name}: requests leaked from the conservation invariant"
+                );
+                format!(
+                    "\"crashes\": {}, \"recoveries\": {}, \"retries\": {}, \"drops\": {}, \
+                     \"availability\": {:.4}",
+                    d.crashes, d.recoveries, d.retries, d.drops, d.availability
+                )
+            },
+            flag: Some("conservation"),
+        },
+        FleetShape {
+            name: "cluster-disagg-4p4d-sharegpt",
+            on: &split,
+            opts: split.opts.clone(),
+            dcfg: dcfg.clone(),
+            floor: 3.0,
+            check: |name, on, out| {
+                assert!(out.log.handoffs > 0, "{name}: the handoff path must engage");
+                assert!(
+                    out.log.pool_peak_tokens <= out.log.pool_capacity_tokens,
+                    "{name}: pool peak {} exceeded the {}-token bound",
+                    out.log.pool_peak_tokens,
+                    out.log.pool_capacity_tokens
+                );
+                assert_eq!(
+                    fleet_stats(out).tokens,
+                    on.reference.stats.tokens,
+                    "{name}: the split pipeline must generate exactly the colocated token population"
+                );
+                format!(
+                    "\"handoffs\": {}, \"steals\": {}, \"deferred_publishes\": {}, \
+                     \"pool_peak_tokens\": {}",
+                    out.log.handoffs, out.log.steals, out.log.deferred, out.log.pool_peak_tokens
+                )
+            },
+            flag: Some("pool_bound_held"),
+        },
+        FleetShape {
+            name: "cluster-disagg-chaos",
+            on: &split,
+            opts: split
+                .opts
+                .clone()
+                .with_faults(split_chaos)
+                .with_retry(retry)
+                .with_recovery(RecoveryMode::Warm { retained_fraction: 0.5 })
+                .with_admission(AdmissionPolicy::shed_above(6.0)),
+            dcfg,
+            floor: 3.0,
+            check: |name, on, out| {
+                let d = out.report.degraded.as_ref().expect("chaos run reports degraded mode");
+                assert!(d.crashes > 0, "{name}: the chaos schedule must actually crash groups");
+                assert_eq!(
+                    out.report.completed + out.report.rejected + d.drops + d.shed,
+                    on.trace.len(),
+                    "{name}: requests leaked from the extended conservation invariant"
+                );
+                assert!(d.pool_rescued > 0, "{name}: decode-tier crashes must rescue pool copies");
+                format!(
+                    "\"crashes\": {}, \"pool_rescued\": {}, \"pool_lost\": {}, \
+                     \"warm_rejoins\": {}, \"shed\": {}, \"availability\": {:.4}",
+                    d.crashes, d.pool_rescued, d.pool_lost, d.warm_rejoins, d.shed, d.availability
+                )
+            },
+            flag: Some("conservation"),
+        },
+    ];
+    shapes.iter().map(|shape| measure_fleet(shape, smoke)).unzip()
 }
 
 fn json_engine(m: &Measurement) -> String {
@@ -833,86 +636,64 @@ fn json_engine(m: &Measurement) -> String {
     )
 }
 
-/// Per-`(shape, engine)` numbers the regression gate compares.
+/// Per-shape span-engine numbers the regression gate compares.
 struct GateRow {
     name: String,
-    engine: &'static str,
     heap_events_per_token: f64,
     wall_speedup: f64,
 }
 
-/// Extracts `(shape, engine, heap_events_per_token, wall_speedup)` rows
-/// from a `BENCH_serving_sim*.json` file. The file is machine-written by
-/// this bin (one `"name"` line, one `"<engine>": {...}` line per fast
-/// engine and one flat `"<engine>_wall_speedup"` line per shape, in that
-/// order), so a line scan is exact — the build environment has no serde
-/// to do better.
+/// Extracts `(shape, heap_events_per_token, span_wall_speedup)` rows from a
+/// `BENCH_serving_sim*.json` file. The file is machine-written by this bin
+/// (one `"name"` line, one `"span": {...}` line and one flat
+/// `"span_wall_speedup"` line per shape, in that order), so a line scan is
+/// exact — the build environment has no serde to do better.
+///
+/// # Panics
+///
+/// Panics unless every `"name"` line yields exactly one span row, so a
+/// malformed baseline edit fails the gate instead of shrinking it.
 fn parse_baseline(text: &str) -> Vec<GateRow> {
     fn field(line: &str, key: &str) -> Option<f64> {
         let tail = &line[line.find(&format!("\"{key}\": "))? + key.len() + 4..];
         let end = tail.find([',', '}']).unwrap_or(tail.len());
         tail[..end].trim().parse().ok()
     }
-    const GATED: [&str; 2] = ["bucketed", "span"];
     let mut rows = Vec::new();
+    let mut shapes = 0;
     let mut name: Option<String> = None;
-    let mut hept: [Option<f64>; 2] = [None; 2];
-    for line in text.lines() {
-        if let Some(tail) = line.trim().strip_prefix("{\"name\": \"") {
+    let mut hept: Option<f64> = None;
+    for line in text.lines().map(str::trim) {
+        if let Some(tail) = line.strip_prefix("{\"name\": \"") {
+            shapes += 1;
             name = tail.split('"').next().map(str::to_string);
-            hept = [None; 2];
+            hept = None;
         }
-        for (i, engine) in GATED.iter().enumerate() {
-            if line.trim_start().starts_with(&format!("\"{engine}\":")) {
-                hept[i] = field(line, "heap_events_per_token");
-            }
-            if let Some(speedup) = field(line, &format!("{engine}_wall_speedup")) {
-                if let (Some(name), Some(heap_events_per_token)) = (name.clone(), hept[i].take()) {
-                    rows.push(GateRow {
-                        name,
-                        engine,
-                        heap_events_per_token,
-                        wall_speedup: speedup,
-                    });
-                }
+        if line.starts_with("\"span\":") {
+            hept = field(line, "heap_events_per_token");
+        }
+        if let Some(wall_speedup) = field(line, "span_wall_speedup") {
+            if let (Some(name), Some(heap_events_per_token)) = (name.take(), hept.take()) {
+                rows.push(GateRow { name, heap_events_per_token, wall_speedup });
             }
         }
     }
+    assert_eq!(rows.len(), shapes, "baseline must hold exactly one span row per shape");
     rows
 }
 
 /// Allowed regression on either gated metric.
 const GATE_SLACK: f64 = 1.20;
 
-/// Steady-state allocation ceiling for the fast engines, in heap
-/// allocations per simulated token. The hot paths are allocation-free;
+/// Steady-state allocation ceiling for the span engine, in heap
+/// allocations per simulated token. The hot path is allocation-free;
 /// what remains scales with admissions (records, requeues, report
 /// assembly), two orders of magnitude below one-per-token.
 const ALLOC_CEILING: f64 = 0.05;
 
-fn parse_engines(arg: &str) -> Vec<TickEngine> {
-    if arg == "all" {
-        return vec![TickEngine::PhaseBucketed, TickEngine::SpanFastForward];
-    }
-    let engines: Vec<TickEngine> = arg
-        .split(',')
-        .filter(|s| *s != "reference") // always measured as the baseline
-        .map(|s| match s {
-            "bucketed" => TickEngine::PhaseBucketed,
-            "span" => TickEngine::SpanFastForward,
-            other => panic!("unknown engine {other:?} (expected reference/bucketed/span)"),
-        })
-        .collect();
-    // The reference loop alone measures nothing (every recorded metric is a
-    // ratio against it), and an empty set would write a malformed shape row.
-    assert!(!engines.is_empty(), "--engines must name at least one of bucketed/span");
-    engines
-}
-
 fn main() {
     let mut smoke = false;
     let mut check_against: Option<String> = None;
-    let mut engines = parse_engines("all");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -920,12 +701,7 @@ fn main() {
             "--check-against" => {
                 check_against = Some(args.next().expect("--check-against needs a path"));
             }
-            "--engines" => {
-                engines = parse_engines(&args.next().expect("--engines needs a list or 'all'"));
-            }
-            other => panic!(
-                "unknown argument {other:?} (expected --smoke / --engines / --check-against)"
-            ),
+            other => panic!("unknown argument {other:?} (expected --smoke / --check-against)"),
         }
     }
     let shapes = if smoke { smoke_shapes() } else { full_shapes() };
@@ -942,150 +718,54 @@ fn main() {
     let repeats = if smoke { 5 } else { 2 };
     for shape in &shapes {
         let (reference, ref_report) = measure(shape, TickEngine::PerTokenReference, repeats);
-        println!(
-            "{:>28} {:>9} {:>9.3}s {:>10} {:>9.3} {:>11} {:>9.4} {:>11}",
-            shape.name,
-            "reference",
-            reference.wall_s,
-            "1.00x",
-            reference.stats.heap_events_per_token(),
-            "1.00x",
-            reference.allocations_per_token(),
-            reference.stats.tokens,
+        let (span, report) = measure(shape, TickEngine::SpanFastForward, repeats);
+        assert_eq!(
+            ref_report, report,
+            "{}: span engine must report identically to the reference before perf means anything",
+            shape.name
         );
-        let mut flat = Vec::new();
-        let mut engine_rows = vec![format!("\"reference\": {}", json_engine(&reference))];
-        let mut measured = Vec::new();
-        for &engine in &engines {
-            let (m, report) = measure(shape, engine, repeats);
-            assert_eq!(
-                ref_report,
-                report,
-                "{}: {} engine must report identically to the reference before perf means \
-                 anything",
-                shape.name,
-                engine.name()
-            );
-            let speedup = reference.wall_s / m.wall_s.max(1e-9);
-            let heap_ratio =
-                reference.stats.heap_events_per_token() / m.stats.heap_events_per_token().max(1e-9);
-            println!(
-                "{:>28} {:>9} {:>9.3}s {:>9.2}x {:>9.3} {:>10.2}x {:>9.4} {:>11}",
-                "",
-                engine.name(),
-                m.wall_s,
-                speedup,
-                m.stats.heap_events_per_token(),
-                heap_ratio,
-                m.allocations_per_token(),
-                m.stats.tokens,
-            );
-            engine_rows.push(format!("\"{}\": {}", engine.name(), json_engine(&m)));
-            flat.push(format!(
-                "\"{0}_wall_speedup\": {1:.3}, \"{0}_heap_ratio\": {2:.3}",
-                engine.name(),
-                speedup,
-                heap_ratio
-            ));
-            gate_rows.push(GateRow {
-                name: shape.name.to_string(),
-                engine: engine.name(),
-                heap_events_per_token: m.stats.heap_events_per_token(),
-                wall_speedup: speedup,
-            });
-            // The no-alloc-in-steady-state assertion: scratch buffers are
-            // arena'd, so allocations scale with admissions, not tokens.
-            assert!(
-                m.allocations_per_token() < ALLOC_CEILING,
-                "{}: {} engine allocates {:.4}/token (ceiling {ALLOC_CEILING})",
-                shape.name,
-                engine.name(),
-                m.allocations_per_token()
-            );
-            measured.push((engine, m));
-        }
+        let (speedup, heap_ratio) = ratios(&reference, &span);
+        print_pair(shape.name, &reference, &span, speedup, heap_ratio);
+        // The no-alloc-in-steady-state assertion: scratch buffers are
+        // arena'd, so allocations scale with admissions, not tokens.
+        assert!(
+            span.allocations_per_token() < ALLOC_CEILING,
+            "{}: span engine allocates {:.4}/token (ceiling {ALLOC_CEILING})",
+            shape.name,
+            span.allocations_per_token()
+        );
+        // The heap-event ratio is deterministic: on any shape with >= 8
+        // slots per replica the span engine must batch at least 5x —
+        // relaxed to 3x under eviction churn, where every resume is a
+        // fresh admission and heap traffic is admission-bound.
         let slots = shape.system.slots_per_replica();
         let churn = ref_report.preemptions + ref_report.swaps > 0;
-        for (engine, m) in &measured {
-            // The heap-event ratio is deterministic: on any shape with >= 8
-            // slots per replica the fast engines must batch at least 5x —
-            // relaxed to 3x under eviction churn, where every resume is a
-            // fresh admission and heap traffic is admission-bound.
-            if slots >= 8 {
-                let heap_ratio = reference.stats.heap_events_per_token()
-                    / m.stats.heap_events_per_token().max(1e-9);
-                let floor = if churn { 3.0 } else { 5.0 };
-                assert!(
-                    heap_ratio >= floor,
-                    "{}: {} heap-event ratio {heap_ratio:.2} < {floor}x on {slots} slots/replica",
-                    shape.name,
-                    engine.name()
-                );
-            }
-            // Wall-clock is noisy in CI; "not slower" with 25% slack in
-            // smoke mode, while the full run reports the real speedup.
-            if smoke {
-                assert!(
-                    m.wall_s <= 1.25 * reference.wall_s,
-                    "{}: {} engine slower than reference ({:.3}s vs {:.3}s)",
-                    shape.name,
-                    engine.name(),
-                    m.wall_s,
-                    reference.wall_s
-                );
-            }
-        }
-        // The span engine's acceptance floors against the *bucketed*
-        // engine on the clean saturated shapes: >= 5x fewer heap events
-        // per token everywhere, and >= 3x wall-clock on the full-mode
-        // saturated chatbot sweep (wall asserts stay out of smoke mode,
-        // where runs are too short to time reliably).
-        let span = measured.iter().find(|(e, _)| *e == TickEngine::SpanFastForward);
-        let bucketed = measured.iter().find(|(e, _)| *e == TickEngine::PhaseBucketed);
-        if let (Some((_, span)), Some((_, bucketed))) = (span, bucketed) {
-            if !churn {
-                let vs_bucketed = bucketed.stats.heap_events_per_token()
-                    / span.stats.heap_events_per_token().max(1e-9);
-                assert!(
-                    vs_bucketed >= 5.0,
-                    "{}: span engine only {vs_bucketed:.2}x fewer heap events/token than bucketed",
-                    shape.name
-                );
-            }
-            if shape.name == "llama2_7b-pp8-chatbot-1.2x" {
-                let vs_bucketed = bucketed.wall_s / span.wall_s.max(1e-9);
-                assert!(
-                    vs_bucketed >= 3.0,
-                    "{}: span engine only {vs_bucketed:.2}x faster than bucketed",
-                    shape.name
-                );
-            }
-        }
+        let floor = (slots >= 8).then_some(if churn { 3.0 } else { 5.0 });
+        assert_floors(shape.name, &reference, &span, heap_ratio, floor, smoke);
         rows.push(format!(
             "    {{\"name\": \"{}\", \"replicas\": {}, \"slots_per_replica\": {}, \
-             \"sim_tokens\": {}, \"preemptions\": {}, \"swaps\": {},\n     {},\n     \
-             {}, \"reports_identical\": true}}",
+             \"sim_tokens\": {}, \"preemptions\": {}, \"swaps\": {},\n     {}}}",
             shape.name,
             shape.system.replicas(),
             slots,
             reference.stats.tokens,
             ref_report.preemptions,
             ref_report.swaps,
-            engine_rows.join(",\n     "),
-            flat.join(", "),
+            json_pair(&reference, &span, speedup, heap_ratio),
         ));
+        gate_rows.push(GateRow {
+            name: shape.name.to_string(),
+            heap_events_per_token: span.stats.heap_events_per_token(),
+            wall_speedup: speedup,
+        });
     }
 
-    // The fleet shapes (healthy diurnal + crash-recovery) ride the same
-    // artifact and gate: each row carries a "span" engine block and a
-    // span_wall_speedup, so --check-against covers the cluster path — and
-    // the fault path — with no parser changes.
-    let (cluster_rows, cluster_gates) = measure_cluster(smoke);
-    rows.extend(cluster_rows);
-    gate_rows.extend(cluster_gates);
-    let (disagg_rows, disagg_gates) = measure_disagg(smoke);
-    rows.extend(disagg_rows);
-    gate_rows.extend(disagg_gates);
+    // The fleet shapes ride the same artifact and gate: each row carries a
+    // "span" engine block and a span_wall_speedup, so --check-against
+    // covers the fleet path — and its fault paths — with no parser changes.
+    let (fleet_rows, fleet_gates) = measure_fleets(smoke);
+    rows.extend(fleet_rows);
+    gate_rows.extend(fleet_gates);
 
     let json = format!(
         "{{\n  \"id\": \"BENCH_serving_sim\",\n  \"mode\": \"{}\",\n  \"shapes\": [\n{}\n  ]\n}}\n",
@@ -1098,10 +778,10 @@ fn main() {
     std::fs::write(&path, json).expect("writing BENCH_serving_sim.json");
     println!("\nwrote {}", path.display());
 
-    // The CI perf-regression gate: every (shape, engine) row in the
-    // committed baseline must still be measured and must not regress by
-    // more than 20% on either heap events per token or the
-    // reference→engine wall-clock speedup.
+    // The CI perf-regression gate: every shape in the committed baseline
+    // must still be measured and must not regress by more than 20% on
+    // either the span engine's heap events per token or its
+    // reference→span wall-clock speedup.
     if let Some(baseline_path) = check_against {
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("reading baseline {baseline_path}: {e}"));
@@ -1110,17 +790,14 @@ fn main() {
         println!("checking against {baseline_path} (\u{2264}{GATE_SLACK}x regression allowed):");
         let mut failures = Vec::new();
         for b in &baseline {
-            let Some(now) = gate_rows.iter().find(|g| g.name == b.name && g.engine == b.engine)
-            else {
-                failures
-                    .push(format!("shape {:?} engine {} missing from this run", b.name, b.engine));
+            let Some(now) = gate_rows.iter().find(|g| g.name == b.name) else {
+                failures.push(format!("shape {:?} missing from this run", b.name));
                 continue;
             };
             println!(
-                "  {:>28}/{:>8}: heap/tok {:.4} (baseline {:.4}) | speedup {:.3}x (baseline \
+                "  {:>28}/    span: heap/tok {:.4} (baseline {:.4}) | speedup {:.3}x (baseline \
                  {:.3}x)",
                 b.name,
-                b.engine,
                 now.heap_events_per_token,
                 b.heap_events_per_token,
                 now.wall_speedup,
@@ -1131,10 +808,9 @@ fn main() {
             // enough to judge how far over the line the run landed.
             if now.heap_events_per_token > GATE_SLACK * b.heap_events_per_token {
                 failures.push(format!(
-                    "{}/{}: heap events/token regressed: measured {:.4}, baseline {:.4}, \
+                    "{}/span: heap events/token regressed: measured {:.4}, baseline {:.4}, \
                      allowed at most {:.4} (baseline x {GATE_SLACK})",
                     b.name,
-                    b.engine,
                     now.heap_events_per_token,
                     b.heap_events_per_token,
                     GATE_SLACK * b.heap_events_per_token,
@@ -1142,10 +818,9 @@ fn main() {
             }
             if now.wall_speedup < b.wall_speedup / GATE_SLACK {
                 failures.push(format!(
-                    "{}/{}: wall-clock speedup regressed: measured {:.3}x, baseline {:.3}x, \
+                    "{}/span: wall-clock speedup regressed: measured {:.3}x, baseline {:.3}x, \
                      allowed at least {:.3}x (baseline / {GATE_SLACK})",
                     b.name,
-                    b.engine,
                     now.wall_speedup,
                     b.wall_speedup,
                     b.wall_speedup / GATE_SLACK,

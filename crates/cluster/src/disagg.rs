@@ -261,6 +261,39 @@ impl Handoff {
             None => false,
         }
     }
+
+    /// Routes decode-phase `spec` over the claim-phase decode snapshot and
+    /// hands it to the chosen group at `t`, its context claimable from
+    /// `ready` at a `transfer` cost. Steal-from-pool: a drained decode
+    /// group takes the handoff whenever the router's pick still has work
+    /// queued. The snapshot is bumped optimistically for the next dispatch.
+    fn dispatch(
+        &mut self,
+        router: &mut dyn RoutingPolicy,
+        sims: &mut [GroupSim],
+        spec: RequestSpec,
+        t: Time,
+        ready: Time,
+        transfer: Time,
+    ) {
+        let mut pos = router.route(&spec, &self.decode_loads);
+        assert!(
+            pos < self.decode_loads.len(),
+            "router chose position {pos} of {}",
+            self.decode_loads.len()
+        );
+        if self.decode_loads[pos].outstanding > 0 {
+            if let Some(idle) = self.decode_loads.iter().position(|l| l.outstanding == 0) {
+                pos = idle;
+                self.log.steals += 1;
+            }
+        }
+        let load = &mut self.decode_loads[pos];
+        sims[load.group].push_handoff(spec, t, ready, transfer);
+        load.outstanding += 1;
+        load.kv_tokens += spec.kv_tokens();
+        self.log.handoffs += 1;
+    }
 }
 
 /// Simulates `trace` over a fleet whose groups play `disagg.roles` (see
@@ -712,26 +745,7 @@ pub fn simulate_fleet_disagg(
                     // prompt + the first token, remaining tokens to stream.
                     let decode_spec =
                         RequestSpec { prompt: spec.prompt + 1, decode: spec.decode - 1, ..spec };
-                    let mut pos = router.route(&decode_spec, &h.decode_loads);
-                    assert!(
-                        pos < h.decode_loads.len(),
-                        "router chose position {pos} of {}",
-                        h.decode_loads.len()
-                    );
-                    // Steal-from-pool: a drained decode group takes the
-                    // claim whenever the router's pick still has work
-                    // queued.
-                    if h.decode_loads[pos].outstanding > 0 {
-                        if let Some(idle) = h.decode_loads.iter().position(|l| l.outstanding == 0) {
-                            pos = idle;
-                            h.log.steals += 1;
-                        }
-                    }
-                    let g = h.decode_loads[pos].group;
-                    sims[g].push_handoff(decode_spec, t, visible, transfer);
-                    h.decode_loads[pos].outstanding += 1;
-                    h.decode_loads[pos].kv_tokens += decode_spec.kv_tokens();
-                    h.log.handoffs += 1;
+                    h.dispatch(router, &mut sims, decode_spec, t, visible, transfer);
                 }
                 while let Some((&(crashed, id), &(decode_spec, tokens))) =
                     h.rescue_queue.iter().next()
@@ -742,23 +756,7 @@ pub fn simulate_fleet_disagg(
                     // so a repeated crash can rescue it again.
                     let transfer = cur_handoff.transfer_time(tokens);
                     h.pool.park(id, tokens, t);
-                    let mut pos = router.route(&decode_spec, &h.decode_loads);
-                    assert!(
-                        pos < h.decode_loads.len(),
-                        "router chose position {pos} of {}",
-                        h.decode_loads.len()
-                    );
-                    if h.decode_loads[pos].outstanding > 0 {
-                        if let Some(idle) = h.decode_loads.iter().position(|l| l.outstanding == 0) {
-                            pos = idle;
-                            h.log.steals += 1;
-                        }
-                    }
-                    let g = h.decode_loads[pos].group;
-                    sims[g].push_handoff(decode_spec, t, t, transfer);
-                    h.decode_loads[pos].outstanding += 1;
-                    h.decode_loads[pos].kv_tokens += decode_spec.kv_tokens();
-                    h.log.handoffs += 1;
+                    h.dispatch(router, &mut sims, decode_spec, t, t, transfer);
                 }
             }
 

@@ -18,34 +18,20 @@
 //! a query's first token emerges at the first step boundary after its
 //! prefill completes, and every later token one step apart.
 //!
-//! The grid alignment is what makes the fast [`TickEngine`]s fast. The
-//! *phase-bucketed* engine exploits it spatially: residents of a
-//! replica share tick phases (`next_token mod token_interval`), so one
-//! `Tick` heap entry per `(replica, phase)` bucket advances *every* due
-//! resident in admission order, and heap traffic scales with admissions
-//! instead of generated tokens (`O(admissions·log n)` vs
-//! `O(tokens·log n)` — roughly `slots_per_replica ×` fewer heap
-//! operations on the paper's PP mappings). With the zero-anchored step
-//! grid every first token lands on a multiple of the interval, so today
-//! each replica has exactly one phase (0) and one bucket; the buckets
-//! stay keyed by phase so off-grid cadences (e.g. chunked prefill
-//! interleaving, per-stage emission offsets) slot in without touching the
-//! event core. Resident state lives in a dense slab indexed by small
-//! handles, so the per-token hot path is an array walk, not a tree
-//! lookup.
-//!
-//! The *span-fast-forward* engine ([`TickEngine::SpanFastForward`], the
-//! default) exploits the grid temporally as well: between external events
-//! (arrivals, completions, pool exhaustion) decode on the fixed cadence
-//! is fully deterministic, so each replica's next decision instant is
-//! solved in closed form and all intervening tokens are emitted as
-//! batched spans — heap traffic drops to `O(external events)`, i.e.
+//! The grid alignment is what makes the fast engine fast. Between
+//! external events (arrivals, completions, pool exhaustion) decode on the
+//! fixed cadence is fully deterministic, so the *span-fast-forward* engine
+//! ([`TickEngine::SpanFastForward`], the default) solves each replica's
+//! next decision instant in closed form and emits all intervening tokens
+//! as batched spans — heap traffic drops to `O(external events)`, i.e.
 //! `O(arrivals + completions + preemptions)`, independent of how many
-//! ticks the spans cover. The pre-refactor one-heap-entry-per-token loop
-//! is retained as [`TickEngine::PerTokenReference`]; all three engines
-//! produce bit-identical [`ServingReport`]s (enforced by differential
-//! tests), and [`ServingSystem::serve_trace_instrumented`] exposes
-//! [`SimStats`] so the `sim_perf` bench can chart the gaps.
+//! steps the spans cover. Resident state lives in a dense slab indexed by
+//! small handles, so a decision tick walks an array, not a tree. The
+//! pre-refactor one-heap-entry-per-token loop is retained as
+//! [`TickEngine::PerTokenReference`], the differential oracle: both
+//! engines produce bit-identical [`ServingReport`]s (enforced by
+//! differential tests), and [`ServingSystem::serve_trace_instrumented`]
+//! exposes [`SimStats`] so the `sim_perf` bench can chart the gap.
 //!
 //! The span engine's state lives in [`GroupSim`], a *resumable* form of
 //! the event loop: arrivals can be injected incrementally
@@ -77,16 +63,12 @@ use crate::workload::Workload;
 
 /// Which event core advances resident queries through decode.
 ///
-/// All engines implement the same serving semantics and produce
+/// Both engines implement the same serving semantics and produce
 /// bit-identical [`ServingReport`]s for identical traces and options; they
 /// differ only in how much work the simulation itself pays per simulated
 /// token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TickEngine {
-    /// Phase-bucketed replica ticks: one heap entry per `(replica, phase)`
-    /// bucket advances every due resident, and residents live in a dense
-    /// slab.
-    PhaseBucketed,
     /// The straight-line pre-refactor loop: one heap entry per generated
     /// token, residents in an id-keyed map. Retained as the differential
     /// reference and the `sim_perf` baseline.
@@ -96,7 +78,8 @@ pub enum TickEngine {
     /// (earliest completion, KV-exhaustion forecast) is solved in closed
     /// form and every intervening token is emitted as one batched span —
     /// heap traffic scales with external events (arrivals, completions,
-    /// preemptions), not tick phases. The fastest engine, and the default.
+    /// preemptions), not generated tokens. The product engine, and the
+    /// default.
     #[default]
     SpanFastForward,
 }
@@ -105,15 +88,13 @@ impl TickEngine {
     /// Short name used in bench tables and JSON artifacts.
     pub fn name(self) -> &'static str {
         match self {
-            TickEngine::PhaseBucketed => "bucketed",
             TickEngine::PerTokenReference => "reference",
             TickEngine::SpanFastForward => "span",
         }
     }
 
-    /// All three engines, for differential tests and bench sweeps.
-    pub const ALL: [TickEngine; 3] =
-        [TickEngine::PerTokenReference, TickEngine::PhaseBucketed, TickEngine::SpanFastForward];
+    /// Both engines, for differential tests and bench sweeps.
+    pub const ALL: [TickEngine; 2] = [TickEngine::PerTokenReference, TickEngine::SpanFastForward];
 }
 
 /// What happens to a KV-pressure eviction victim.
@@ -294,12 +275,11 @@ impl ServeOptions {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Heap entries pushed (arrivals plus per-token events or replica
-    /// ticks).
+    /// wakes).
     pub heap_pushes: u64,
     /// Heap entries popped, stale entries included.
     pub heap_pops: u64,
-    /// Tick events that fired a `(replica, phase)` bucket (bucketed
-    /// engine) or a solved per-replica decision instant (span engine);
+    /// Solved per-replica decision instants that fired (span engine);
     /// zero on the per-token reference engine.
     pub tick_events: u64,
     /// Generated (decode) tokens driven through the event core.
@@ -310,7 +290,7 @@ pub struct SimStats {
 
 impl SimStats {
     /// Heap events (pushes + pops) per generated token — the hot-path
-    /// metric the phase-bucketed engine exists to shrink.
+    /// metric the span engine exists to shrink.
     pub fn heap_events_per_token(&self) -> f64 {
         if self.tokens == 0 {
             return 0.0;
@@ -520,155 +500,14 @@ impl ServingSystem {
     ) -> (ServingReport, SimStats) {
         assert!(self.token_interval > Time::ZERO, "token interval must be positive");
         match options.engine {
-            TickEngine::PhaseBucketed => self.run_bucketed(trace, offered_qps, options),
             TickEngine::PerTokenReference => self.run_reference(trace, offered_qps, options),
             TickEngine::SpanFastForward => self.run_span(trace, offered_qps, options),
         }
     }
 
-    /// The phase-bucketed engine: residents in a dense slab, one `Tick`
-    /// heap entry per `(replica, phase)` bucket.
-    fn run_bucketed(
-        &self,
-        trace: &[RequestSpec],
-        offered_qps: f64,
-        options: ServeOptions,
-    ) -> (ServingReport, SimStats) {
-        let interval = self.token_interval;
-        let mut core = Core::new(self, options);
-        let mut heap = EventHeap::with_arrivals(trace);
-        let mut slab = Slab::default();
-        let mut buckets: Vec<BTreeMap<u64, Bucket>> =
-            vec![BTreeMap::new(); self.scheduler_cfg.replicas];
-        // Lease handle → slab handle, so preemption victims reported by the
-        // scheduler resolve to residents without a map lookup.
-        let mut lease_handle: Vec<u32> = Vec::new();
-        // Steady-state scratch buffers, allocated once per run: the due
-        // snapshot of each tick and the victims of each growth call.
-        let mut due: Vec<u32> = Vec::new();
-        let mut victims: Vec<Preemption> = Vec::new();
-
-        while let Some(t) = heap.next_instant() {
-            core.accumulate_to(t);
-            // Drain every event at this instant, then admit once.
-            while let Some(event) = heap.pop_at(t) {
-                match event {
-                    Event::Arrive(spec) => core.arrive(spec),
-                    Event::Tick { replica, phase } => {
-                        {
-                            let bucket = buckets[replica as usize]
-                                .get_mut(&phase)
-                                .expect("tick targets a known bucket");
-                            if bucket.scheduled != Some(t) {
-                                // Retired (bucket emptied) or superseded by
-                                // an earlier reschedule: drop it.
-                                continue;
-                            }
-                            bucket.scheduled = None;
-                            core.tick_events += 1;
-                            // Snapshot the due members (admission order);
-                            // preemption may mutate the bucket mid-walk.
-                            due.clear();
-                            due.extend(
-                                bucket
-                                    .members
-                                    .iter()
-                                    .copied()
-                                    .filter(|&h| slab.get(h).is_some_and(|r| r.next_at == t)),
-                            );
-                        }
-                        for &h in &due {
-                            // An earlier grower this tick may have evicted
-                            // this resident; its slot is then empty (no new
-                            // residents are slabbed until the drain ends).
-                            let Some(r) = slab.get(h) else { continue };
-                            if r.next_at != t {
-                                continue;
-                            }
-                            let lease = r.lease;
-                            // Grow the KV reservation for this token; pool
-                            // exhaustion preempts the youngest residents.
-                            let mut self_preempted = false;
-                            core.scheduler.grow(lease, &mut victims);
-                            for &p in &victims {
-                                let vh = lease_handle[p.lease.index()];
-                                let v = slab.remove(vh);
-                                debug_assert_eq!(v.q.spec.id, p.id, "slab and leases agree");
-                                remove_member(&mut buckets[v.replica], v.phase, vh);
-                                if p.lease == lease {
-                                    self_preempted = true;
-                                }
-                                core.preempt(v.q, v.replica);
-                            }
-                            if self_preempted {
-                                continue;
-                            }
-                            let r = slab.get_mut(h).expect("survived growth");
-                            if core.emit_token(&mut r.q, t) {
-                                core.scheduler.complete(lease);
-                                let r = slab.remove(h);
-                                remove_member(&mut buckets[r.replica], r.phase, h);
-                                core.finish(r.q, r.replica, t);
-                            } else {
-                                // Same bucket, next step: no heap traffic.
-                                r.next_at = t + interval;
-                            }
-                        }
-                        // One live heap entry per non-empty bucket, at the
-                        // earliest instant any member is due.
-                        let bucket = buckets[replica as usize]
-                            .get_mut(&phase)
-                            .expect("bucket persists across its tick");
-                        let next = bucket
-                            .members
-                            .iter()
-                            .map(|&h| slab.get(h).expect("members are live").next_at)
-                            .min();
-                        if let Some(next) = next {
-                            debug_assert!(next > t, "tick must advance");
-                            bucket.scheduled = Some(next);
-                            heap.push(next, Event::Tick { replica, phase });
-                        }
-                    }
-                    Event::Token { .. } | Event::Wake { .. } => {
-                        unreachable!("bucketed engine schedules only replica ticks")
-                    }
-                }
-            }
-            if core.admission_dirty {
-                core.admission_dirty = false;
-                for p in core.admit(t) {
-                    let phase = p.first_token.as_ps() % interval.as_ps();
-                    let h = slab.insert(Resident {
-                        q: p.q,
-                        replica: p.replica,
-                        lease: p.lease,
-                        next_at: p.first_token,
-                        phase,
-                    });
-                    if lease_handle.len() <= p.lease.index() {
-                        lease_handle.resize(p.lease.index() + 1, u32::MAX);
-                    }
-                    lease_handle[p.lease.index()] = h;
-                    let bucket = buckets[p.replica].entry(phase).or_default();
-                    // Admission order: the serial prefill front-end makes
-                    // first tokens monotone per replica, so appending keeps
-                    // members sorted by both admission and due time.
-                    bucket.members.push(h);
-                    if bucket.scheduled.is_none_or(|at| p.first_token < at) {
-                        bucket.scheduled = Some(p.first_token);
-                        heap.push(p.first_token, Event::Tick { replica: p.replica as u32, phase });
-                    }
-                }
-            }
-        }
-        debug_assert!(slab.is_empty(), "drained loop left residents behind");
-        core.into_report(trace.len(), offered_qps, &heap)
-    }
-
     /// The retained straight-line per-token loop: one heap entry per
     /// generated token, residents in an id-keyed map. Differential
-    /// reference for the bucketed engine and the `sim_perf` baseline.
+    /// reference for the span engine and the `sim_perf` baseline.
     fn run_reference(
         &self,
         trace: &[RequestSpec],
@@ -683,8 +522,8 @@ impl ServingSystem {
         let mut victims: Vec<Preemption> = Vec::new();
         // Token events order by admission epoch within an instant (offset
         // past the arrival sequence range), so simultaneous tokens resolve
-        // in admission order — the same total order the bucketed engine's
-        // bucket walk uses.
+        // in admission order — the same total order the span engine's
+        // decision-tick walk uses.
         let seq_base = trace.len() as u64;
 
         while let Some(t) = heap.next_instant() {
@@ -725,7 +564,7 @@ impl ServingSystem {
                             );
                         }
                     }
-                    Event::Tick { .. } | Event::Wake { .. } => {
+                    Event::Wake { .. } => {
                         unreachable!("reference engine schedules only per-token events")
                     }
                 }
@@ -763,10 +602,11 @@ impl ServingSystem {
     /// mass via `TimeHistogram::record_n`, and the occupancy integral as a
     /// closed-form arithmetic-series area — folded across replicas into
     /// *one* [`StepIntegral::add_area`] per event. Heap traffic is
-    /// `O(arrivals + decision instants)` instead of `O(tick phases)`; the
-    /// decision tick itself walks due residents exactly like the bucketed
-    /// engine, so completions, exhaustion preemptions and spill
-    /// dispositions stay bit-identical.
+    /// `O(arrivals + decision instants)` instead of `O(generated tokens)`;
+    /// the decision tick itself grows, completes and preempts its due
+    /// residents one by one in admission order, as the reference does per
+    /// token, so completions, exhaustion preemptions and spill dispositions
+    /// stay bit-identical.
     fn run_span(
         &self,
         trace: &[RequestSpec],
@@ -831,8 +671,8 @@ impl GroupSim {
     /// A fresh, empty group over `sys`'s serving constants.
     ///
     /// The group always runs the span-fast-forward core;
-    /// `options.engine` is ignored (the other engines exist only as
-    /// batch-mode differential references).
+    /// `options.engine` is ignored (the per-token reference exists only as
+    /// a batch-mode differential oracle).
     pub fn new(sys: &ServingSystem, options: ServeOptions) -> Self {
         assert!(sys.token_interval > Time::ZERO, "token interval must be positive");
         let replicas = sys.scheduler_cfg.replicas;
@@ -1045,7 +885,7 @@ impl GroupSim {
                 match event {
                     Event::Arrive(spec) => orphans.push(spec),
                     Event::Wake { .. } => {}
-                    Event::Token { .. } | Event::Tick { .. } => {
+                    Event::Token { .. } => {
                         unreachable!("span engine schedules only replica wakes")
                     }
                 }
@@ -1118,7 +958,7 @@ impl GroupSim {
                     dirty[replica] = true;
                     core.tick_events += 1;
                     // The decision tick: walk due residents in
-                    // admission order, exactly like a bucketed tick.
+                    // admission order.
                     due.clear();
                     due.extend(
                         spans[replica]
@@ -1159,7 +999,7 @@ impl GroupSim {
                         }
                     }
                 }
-                Event::Token { .. } | Event::Tick { .. } => {
+                Event::Token { .. } => {
                     unreachable!("span engine schedules only replica wakes")
                 }
             }
@@ -1167,13 +1007,11 @@ impl GroupSim {
         if core.admission_dirty {
             core.admission_dirty = false;
             for p in core.admit(t) {
-                let phase = p.first_token.as_ps() % interval.as_ps();
                 let h = slab.insert(Resident {
                     q: p.q,
                     replica: p.replica,
                     lease: p.lease,
                     next_at: p.first_token,
-                    phase,
                 });
                 if lease_handle.len() <= p.lease.index() {
                     lease_handle.resize(p.lease.index() + 1, u32::MAX);
@@ -1224,7 +1062,7 @@ pub struct GroupOutcome {
     pub submitted_by_class: Vec<(PriorityClass, usize)>,
 }
 
-/// Event-loop state shared by every engine: the scheduler, the occupancy
+/// Event-loop state shared by both engines: the scheduler, the occupancy
 /// integrals, the serial prefill front-ends and the run counters. Keeping
 /// admission, token accounting and report assembly here guarantees the
 /// engines can only differ in *event mechanics*, never in semantics.
@@ -1293,8 +1131,8 @@ struct Core {
     recompute_stall: Time,
     swap_stall: Time,
     last_t: Time,
-    /// Monotone admission counter; doubles as the staleness epoch of the
-    /// reference engine and the bucket ordering key of the bucketed one.
+    /// Monotone admission counter; doubles as the staleness epoch and the
+    /// token ordering key of the reference engine.
     epoch: u64,
     /// Admission can only succeed after an arrival, completion or
     /// preemption; skipping it on pure token-progress instants keeps the
@@ -1720,7 +1558,7 @@ impl Core {
     }
 }
 
-/// Loop-side state of a resident in the bucketed engine.
+/// Loop-side state of a resident in the span engine.
 #[derive(Debug, Clone, Copy)]
 struct Resident {
     q: QueuedRequest,
@@ -1728,8 +1566,6 @@ struct Resident {
     lease: LeaseId,
     /// Instant of this resident's next token.
     next_at: Time,
-    /// Tick-bucket key: `next_at mod token_interval`, fixed at admission.
-    phase: u64,
 }
 
 /// Loop-side state of a resident in the per-token reference engine.
@@ -1743,7 +1579,7 @@ struct RefResident {
     epoch: u64,
 }
 
-/// Dense resident storage for the bucketed engine: the hot path indexes an
+/// Dense resident storage for the span engine: the hot path indexes an
 /// array slot instead of walking an id-keyed tree. Freed handles are
 /// recycled LIFO, deterministically.
 #[derive(Debug, Default)]
@@ -1786,36 +1622,17 @@ impl Slab {
     }
 }
 
-/// One tick bucket: the residents of a replica sharing a token phase.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    /// Resident handles in admission order (the order simultaneous token
-    /// events resolve in).
-    members: Vec<u32>,
-    /// Fire instant of this bucket's live heap entry, if any. A popped
-    /// `Tick` whose instant does not match is stale and is dropped, so
-    /// empty buckets retire their entry without heap surgery.
-    scheduled: Option<Time>,
-}
-
-/// Removes a resident handle from its bucket, preserving admission order.
-fn remove_member(buckets: &mut BTreeMap<u64, Bucket>, phase: u64, h: u32) {
-    let bucket = buckets.get_mut(&phase).expect("resident's bucket exists");
-    let pos = bucket.members.iter().position(|&x| x == h).expect("resident is in its bucket");
-    bucket.members.remove(pos);
-}
-
 /// Per-replica state of the span engine: resident handles in admission
 /// order plus the fire instant of the replica's live `Wake` heap entry.
 #[derive(Debug, Clone, Default)]
 struct ReplicaSpan {
     /// Resident handles in admission order (the order simultaneous token
-    /// events resolve in — identical to the bucketed engine's bucket walk).
+    /// events resolve in — identical to the reference engine's token order).
     members: Vec<u32>,
     /// Fire instant of this replica's live `Wake` entry, if any. A popped
     /// wake whose instant does not match was superseded by a re-solved
     /// decision and is dropped, so stale entries retire without heap
-    /// surgery (the same lazy-invalidation scheme as [`Bucket`]).
+    /// surgery.
     scheduled: Option<Time>,
 }
 
@@ -1916,12 +1733,6 @@ enum Event {
         id: RequestId,
         epoch: u64,
     },
-    /// One firing of a `(replica, phase)` tick bucket (bucketed engine
-    /// only): advances every due resident of the bucket.
-    Tick {
-        replica: u32,
-        phase: u64,
-    },
     /// One firing of a replica's solved decision instant (span engine
     /// only): the earliest completion or KV-exhaustion tick; every token
     /// before it was batch-emitted by the fast-forward pass.
@@ -1952,7 +1763,7 @@ impl PartialOrd for HeapEntry {
 
 /// The event heap plus push/pop counters: arrivals are seeded with the
 /// trace order sequence numbers, so simultaneous arrivals resolve in trace
-/// order ahead of any tick or token event.
+/// order ahead of any wake or token event.
 #[derive(Debug)]
 struct EventHeap {
     heap: BinaryHeap<Reverse<HeapEntry>>,
@@ -2301,55 +2112,51 @@ mod tests {
         let sys = tiny_system().with_kv_budget(KvBudget::tokens(150));
         let w = poisson(50.0, 7, 10, 90);
         let horizon = Time::from_secs_f64(5.0);
-        let bucketed = sys.run_with(
-            &w,
-            horizon,
-            ServeOptions::token_granular().with_engine(TickEngine::PhaseBucketed),
-        );
-        for engine in [TickEngine::PerTokenReference, TickEngine::SpanFastForward] {
-            let other =
-                sys.run_with(&w, horizon, ServeOptions::token_granular().with_engine(engine));
-            assert!(bucketed.preemptions > 0);
-            assert_eq!(bucketed, other, "{engine:?}");
-        }
+        let [reference, span] = TickEngine::ALL
+            .map(|e| sys.run_with(&w, horizon, ServeOptions::token_granular().with_engine(e)));
+        assert!(reference.preemptions > 0);
+        assert_eq!(reference, span);
     }
 
     #[test]
     fn span_engine_skips_tick_heap_traffic() {
         // On a clean saturated shape the span engine must touch the heap
-        // only for arrivals and decision instants — far below even the
-        // bucketed engine's one-entry-per-step budget.
+        // only for arrivals and decision instants — far below one entry per
+        // block step, let alone the reference's one per token.
         let sys = tiny_system();
         let w = poisson(25.0, 11, 10, 490);
         let trace = w.generate(Time::from_secs_f64(20.0), 4096);
-        let (bkt_report, bkt) = sys.serve_trace_instrumented(
+        let (ref_report, reference) = sys.serve_trace_instrumented(
             &trace,
             25.0,
-            ServeOptions::default().with_engine(TickEngine::PhaseBucketed),
+            ServeOptions::default().with_engine(TickEngine::PerTokenReference),
         );
         let (span_report, span) = sys.serve_trace_instrumented(
             &trace,
             25.0,
             ServeOptions::default().with_engine(TickEngine::SpanFastForward),
         );
-        assert_eq!(bkt_report, span_report);
-        assert_eq!(span.tokens, bkt.tokens);
+        assert_eq!(ref_report, span_report);
+        assert_eq!(span.tokens, reference.tokens);
         assert!(
-            span.heap_events_per_token() < bkt.heap_events_per_token(),
-            "span {} vs bucketed {}",
+            span.heap_events_per_token() < reference.heap_events_per_token(),
+            "span {} vs reference {}",
             span.heap_events_per_token(),
-            bkt.heap_events_per_token()
+            reference.heap_events_per_token()
         );
+        // Saturated, the 4-slot replica emits 4 tokens per block step, so
+        // `tokens / 4` is the step count a one-entry-per-step core pays.
+        assert!(span.heap_pushes < span.tokens / 4, "{} pushes", span.heap_pushes);
         // Decision ticks are bounded by external events: every completion
         // is one, plus at most one re-solved wake per admission.
         assert!(span.tick_events <= 2 * span.admissions, "{} ticks", span.tick_events);
     }
 
     #[test]
-    fn bucketed_engine_slashes_heap_traffic() {
-        // Saturated 1×8-slot system: the bucketed engine must do at least
-        // 5× fewer heap operations per generated token than the per-token
-        // reference, and fire roughly one tick per step, not per token.
+    fn span_engine_slashes_heap_traffic() {
+        // Saturated 1×8-slot system: the span engine must do at least 5×
+        // fewer heap operations per generated token than the per-token
+        // reference, and fire far fewer decision ticks than tokens.
         let sys = ServingSystem::from_parts(
             &ModelConfig::llama2_7b(),
             SchedulerConfig {
@@ -2364,22 +2171,22 @@ mod tests {
         );
         let w = poisson(100.0, 3, 10, 200);
         let trace = w.generate(Time::from_secs_f64(5.0), 4096);
-        let (bucketed_report, bucketed) = sys.serve_trace_instrumented(
+        let (span_report, span) = sys.serve_trace_instrumented(
             &trace,
             100.0,
-            ServeOptions::default().with_engine(TickEngine::PhaseBucketed),
+            ServeOptions::default().with_engine(TickEngine::SpanFastForward),
         );
         let (reference_report, reference) = sys.serve_trace_instrumented(
             &trace,
             100.0,
             ServeOptions::default().with_engine(TickEngine::PerTokenReference),
         );
-        assert_eq!(bucketed_report, reference_report);
-        assert_eq!(bucketed.tokens, reference.tokens);
-        assert!(bucketed.tokens > 0);
-        let ratio = reference.heap_events_per_token() / bucketed.heap_events_per_token();
+        assert_eq!(span_report, reference_report);
+        assert_eq!(span.tokens, reference.tokens);
+        assert!(span.tokens > 0);
+        let ratio = reference.heap_events_per_token() / span.heap_events_per_token();
         assert!(ratio >= 5.0, "heap-event ratio only {ratio:.2}");
-        assert!(bucketed.tick_events < bucketed.tokens / 4, "ticks should batch residents");
+        assert!(span.tick_events < span.tokens / 4, "ticks should batch residents");
         assert_eq!(reference.tick_events, 0);
     }
 
