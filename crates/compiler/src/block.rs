@@ -21,10 +21,10 @@
 use cent_types::consts::{ACC_REGS_PER_PU, COLS_PER_ROW, LANES_PER_BEAT};
 use cent_types::{BankId, CentError, CentResult, ChannelId, ChannelMask, ColAddr, RowAddr, SbSlot};
 
-use cent_isa::Instruction;
+use cent_isa::{riscv_pc, Instruction};
 use cent_model::{FfnKind, ModelConfig, PositionalKind};
 
-use crate::builder::{pc, BlockPhase, TraceBuilder, VecSource};
+use crate::builder::{BlockPhase, SbAllocator, TraceBuilder, VecSource, CONSTANT_SLOTS};
 use crate::layout::{GemvLayout, KvLayout, RowAllocator};
 
 /// Maximum tokens scored per attention segment when no registers are
@@ -33,21 +33,77 @@ use crate::layout::{GemvLayout, KvLayout, RowAllocator};
 /// running value-GEMV accumulation across segments.
 pub const SEGMENT_TOKENS_MAX: usize = ACC_REGS_PER_PU * LANES_PER_BEAT;
 
-/// Estimates the Shared Buffer slots one decode step needs on `channels`
-/// channels — the planning-time mirror of `compile_decode_step`'s regions.
+/// The Shared Buffer slots one decode step needs on `channels` channels:
+/// exactly the high-water mark [`compile_decode_step`] reaches, since both
+/// read the same region plan.
 pub fn sb_demand(cfg: &ModelConfig, channels: usize) -> usize {
-    let c = channels.max(1);
-    let groups = |m: usize| m.div_ceil(LANES_PER_BEAT);
-    let pass_slots = |m: usize| groups(m).div_ceil(c).min(ACC_REGS_PER_PU) * c;
-    let out_slots = |m: usize| groups(m).div_ceil(c) * c;
-    let h = cfg.hidden;
-    let ring = pass_slots(h).max(pass_slots(cfg.kv_dim())).max(pass_slots(cfg.ffn_hidden));
-    let tmp = pass_slots(h).max(pass_slots(h)); // wo and w2 both output `h`
-    let x = out_slots(h).max(h.div_ceil(LANES_PER_BEAT));
-    let up_ring = if cfg.ffn == FfnKind::GatedSilu { pass_slots(cfg.ffn_hidden) } else { 0 };
-    let hd_beats = cfg.head_dim() / LANES_PER_BEAT;
-    let misc = 3 + 4 + 2 * ACC_REGS_PER_PU + 4 * hd_beats.max(1) + 8;
-    x + ring + tmp + up_ring + misc
+    CONSTANT_SLOTS + SbPlan::new(cfg, channels).regions().iter().sum::<usize>()
+}
+
+/// The Shared Buffer regions of one decode step, sized for a model on a
+/// channel count. They follow the builder's constant slots back to back, in
+/// the order [`SbPlan::regions`] lists them; nothing is freed during a step.
+struct SbPlan {
+    /// Block input/output vector: the padded `Wo`/`W2` output.
+    x: usize,
+    /// Drain region of one Q/K/V/gate pass (the largest pass).
+    ring: usize,
+    /// Drain region of one `Wo`/`W2` accumulation pass.
+    tmp: usize,
+    /// Beats of one attention head.
+    hd_beats: usize,
+    /// Drain region of one up-projection pass, sized like the ring (gated
+    /// FFNs only: the GeLU path never reads it).
+    up_ring: usize,
+}
+
+impl SbPlan {
+    fn new(cfg: &ModelConfig, channels: usize) -> Self {
+        let c = channels.max(1);
+        // `GemvLayout::{out_slots, pass_slots}` of an `m`-row matrix.
+        let out_slots = |m: usize| m.div_ceil(LANES_PER_BEAT).div_ceil(c) * c;
+        let pass_slots = |m: usize| out_slots(m).min(ACC_REGS_PER_PU * c);
+        let h = cfg.hidden;
+        let ring = pass_slots(h).max(pass_slots(cfg.kv_dim())).max(pass_slots(cfg.ffn_hidden));
+        SbPlan {
+            x: out_slots(h),
+            ring,
+            tmp: pass_slots(h),
+            hd_beats: cfg.head_dim() / LANES_PER_BEAT,
+            up_ring: if cfg.ffn == FfnKind::GatedSilu { ring } else { 0 },
+        }
+    }
+
+    /// Region sizes in allocation order.
+    fn regions(&self) -> [usize; 14] {
+        let hd = self.hd_beats;
+        [
+            self.x,
+            4, // RMSNorm scratch: dot partials, sum of squares, scale beat, spare
+            self.ring,
+            self.tmp,
+            ACC_REGS_PER_PU, // segment scores, one slot per scoring register
+            ACC_REGS_PER_PU, // segment exp
+            hd,              // raw head output
+            1,               // its softmax scalar (VEC_SCALE reads it right after the head)
+            hd,              // final head
+            hd.max(1),       // RoPE deinterleaved operands
+            2 * hd.max(1),   // RoPE products
+            1,               // softmax denominator
+            1,               // its lane sum
+            self.up_ring,
+        ]
+    }
+
+    /// Allocates every region, returning their first slots in
+    /// [`Self::regions`] order.
+    fn alloc(&self, sb: &mut SbAllocator) -> CentResult<[SbSlot; 14]> {
+        let mut slots = [SbSlot(0); 14];
+        for (slot, n) in slots.iter_mut().zip(self.regions()) {
+            *slot = sb.alloc(n)?;
+        }
+        Ok(slots)
+    }
 }
 
 /// The largest channel count ≤ `desired` whose compiled block fits the
@@ -129,7 +185,6 @@ impl BlockPlacement {
         // KV caches: one layout per KV head, round-robin across channels.
         // Each channel must reserve the same row span, so allocate the
         // worst-case number of heads per channel.
-        let heads_per_channel = cfg.kv_heads.div_ceil(channels.len());
         let mut kv = Vec::with_capacity(cfg.kv_heads);
         let kv_base = rows.mark_addr();
         let mut kv_end = kv_base;
@@ -138,15 +193,12 @@ impl BlockPlacement {
             let slot_on_channel = head / channels.len();
             let mut base = kv_base;
             for _ in 0..slot_on_channel {
-                let (probe, next) = KvLayout::plan(channel, base, cfg.head_dim(), cfg.max_context)?;
-                let _ = probe;
-                base = next;
+                base = KvLayout::plan(channel, base, cfg.head_dim(), cfg.max_context)?.1;
             }
             let (layout, next) = KvLayout::plan(channel, base, cfg.head_dim(), cfg.max_context)?;
             kv.push(layout);
             kv_end = RowAddr(kv_end.0.max(next.0));
         }
-        let _ = heads_per_channel;
         rows.skip_to(kv_end)?;
         // Rotary tables: ctx positions × 2 layouts × head_dim elements.
         let hd = cfg.head_dim();
@@ -257,212 +309,145 @@ pub fn compile_decode_step(p: &BlockPlacement, position: usize) -> CentResult<Bl
     let x_beats = h.div_ceil(LANES_PER_BEAT);
     let chmask = p.chmask();
     let c = p.channels.len();
-    let ring_slots = [&p.wq, &p.wk, &p.wv, &p.w1]
-        .iter()
-        .map(|l| l.pass_slots())
-        .chain(p.w3.as_ref().map(|l| l.pass_slots()))
-        .max()
-        .expect("layouts exist");
-    let tmp_slots = p.wo.pass_slots().max(p.w2.pass_slots());
 
     let mut b = TraceBuilder::new();
-    // Persistent regions.
-    let x_slot = b.sb.alloc(p.wo.out_slots().max(p.w2.out_slots()).max(x_beats))?;
-    let scratch = b.sb.alloc(4)?; // dot partials, sumsq, scale beat, denom
-    let ring = b.sb.alloc(ring_slots)?;
-    let tmp = b.sb.alloc(tmp_slots)?;
-    // Attention working set: scores/exp for one segment + head output + the
-    // softmax scalar right after the head (VEC_SCALE convention), + RoPE io.
-    let seg_slots = ACC_REGS_PER_PU; // one slot per scoring register
-    let score_slot = b.sb.alloc(seg_slots)?;
-    let exp_slot = b.sb.alloc(seg_slots)?;
-    let head_raw = b.sb.alloc(hd_beats)?;
-    let head_scalar = b.sb.alloc(1)?;
-    debug_assert_eq!(head_scalar.index(), head_raw.index() + hd_beats);
-    let head_final = b.sb.alloc(hd_beats)?;
-    let rope_ab = b.sb.alloc(hd_beats.max(1))?;
-    let rope_prod = b.sb.alloc(2 * hd_beats.max(1))?;
-    let denom = b.sb.alloc(1)?;
-    let denom_sum = b.sb.alloc(1)?;
+    #[rustfmt::skip]
+    let [
+        x_slot, scratch, ring, tmp, score_slot, exp_slot, head_raw, head_scalar, head_final,
+        rope_ab, rope_prod, denom, denom_sum, up_ring,
+    ] = SbPlan::new(cfg, c).alloc(&mut b.sb)?;
 
     // ---- Phase 1: RMSNorm(x) into the norm scratch banks. -----------------
     b.set_phase(BlockPhase::Norm);
     let norm_stride = b.rmsnorm_to_scratch(chmask, p.dot_row, p.norm_row, x_slot, h, scratch);
     let normed = VecSource::ScratchQuartered { row: p.norm_row, per_group: norm_stride };
 
-    // ---- Phase 2: K projection, RoPE, cache append. ------------------------
-    let heads_per_pass_k = (512 * c) / hd;
-    let kv_layouts = p.kv.clone();
+    // Each Q/K/V pass drains 512·C outputs (`heads_per_pass` whole heads)
+    // into the ring, which the head loop consumes before the next pass.
+    let heads_per_pass = (512 * c) / hd;
+    let pass_heads = |pass: usize, heads: usize| {
+        (0..heads_per_pass)
+            .map(move |i| (i, pass * heads_per_pass + i))
+            .take_while(move |&(_, head)| head < heads)
+    };
+    let head_slot = |i: usize| ring.offset((i * hd_beats) as u16);
     let rope_on = cfg.positional == PositionalKind::Rotary;
     let rope_entry = p.rope_entry(position);
-    {
-        let wk = p.wk.clone();
+
+    // ---- Phase 2: K projection, RoPE, cache append. ------------------------
+    for pass in 0..p.wk.passes {
         b.set_phase(BlockPhase::FcQkv);
-        b.gemv_ring(&wk, normed, ring, None, |b, pass| {
-            let first_head = pass * heads_per_pass_k;
-            for i in 0..heads_per_pass_k {
-                let head = first_head + i;
-                if head >= cfg.kv_heads {
-                    break;
-                }
-                let head_slot = SbSlot((ring.index() + i * hd_beats) as u16);
-                if rope_on {
-                    b.set_phase(BlockPhase::Rope);
-                    emit_rope(b, p, rope_entry, head_slot, rope_ab, rope_prod, hd);
-                }
-                // Append to the key cache: one contiguous bank write.
-                b.set_phase(BlockPhase::KvAppend);
-                let kv = &kv_layouts[head];
-                let (bank, row, col) = kv.key_location(position);
-                b.emit(Instruction::WrSbk {
-                    ch: kv.channel,
-                    opsize: hd_beats as u32,
-                    bank,
-                    row,
-                    col,
-                    rs: head_slot,
-                });
-                b.set_phase(BlockPhase::FcQkv);
+        b.gemv_pass(&p.wk, normed, pass, None, ring);
+        for (i, head) in pass_heads(pass, cfg.kv_heads) {
+            if rope_on {
+                b.set_phase(BlockPhase::Rope);
+                emit_rope(&mut b, p, rope_entry, head_slot(i), rope_ab, rope_prod, hd);
             }
-        });
+            // Append to the key cache: one contiguous bank write.
+            b.set_phase(BlockPhase::KvAppend);
+            let kv = &p.kv[head];
+            let (bank, row, col) = kv.key_location(position);
+            b.emit(Instruction::WrSbk {
+                ch: kv.channel,
+                opsize: hd_beats as u32,
+                bank,
+                row,
+                col,
+                rs: head_slot(i),
+            });
+        }
     }
 
     // ---- Phase 3: V projection, transposed cache append. -------------------
-    {
-        let wv = p.wv.clone();
+    for pass in 0..p.wv.passes {
         b.set_phase(BlockPhase::FcQkv);
-        b.gemv_ring(&wv, normed, ring, None, |b, pass| {
-            b.set_phase(BlockPhase::KvAppend);
-            let first_head = pass * heads_per_pass_k;
-            for i in 0..heads_per_pass_k {
-                let head = first_head + i;
-                if head >= cfg.kv_heads {
-                    break;
-                }
-                let kv = &kv_layouts[head];
-                for dg in 0..hd_beats {
-                    let (_, row, elem) = kv.value_location(dg * LANES_PER_BEAT, position);
-                    b.emit(Instruction::WrAbk {
-                        ch: kv.channel,
-                        row,
-                        elem: elem as u32,
-                        rs: SbSlot((ring.index() + i * hd_beats + dg) as u16),
-                    });
-                }
+        b.gemv_pass(&p.wv, normed, pass, None, ring);
+        b.set_phase(BlockPhase::KvAppend);
+        for (i, head) in pass_heads(pass, cfg.kv_heads) {
+            let kv = &p.kv[head];
+            for dg in 0..hd_beats {
+                let (_, row, elem) = kv.value_location(dg * LANES_PER_BEAT, position);
+                b.emit(Instruction::WrAbk {
+                    ch: kv.channel,
+                    row,
+                    elem: elem as u32,
+                    rs: head_slot(i).offset(dg as u16),
+                });
             }
-            b.set_phase(BlockPhase::FcQkv);
-        });
+        }
     }
 
     // ---- Phase 4: Q projection + attention + output projection. ------------
     let ctx = position + 1;
     let group = cfg.heads / cfg.kv_heads;
-    let heads_per_pass_q = (512 * c) / hd;
-    {
-        let wq = p.wq.clone();
-        let wo = p.wo.clone();
+    for pass in 0..p.wq.passes {
         b.set_phase(BlockPhase::FcQkv);
-        b.gemv_ring(&wq, normed, ring, None, |b, pass| {
-            let first_head = pass * heads_per_pass_q;
-            for i in 0..heads_per_pass_q {
-                let head = first_head + i;
-                if head >= cfg.heads {
-                    break;
-                }
-                let q_slot = SbSlot((ring.index() + i * hd_beats) as u16);
-                if rope_on {
-                    b.set_phase(BlockPhase::Rope);
-                    emit_rope(b, p, rope_entry, q_slot, rope_ab, rope_prod, hd);
-                }
-                b.set_phase(BlockPhase::Attention);
-                let kv = &kv_layouts[head / group];
-                emit_attention_head(
-                    b,
-                    kv,
-                    q_slot,
-                    ctx,
-                    hd_beats,
-                    score_slot,
-                    exp_slot,
-                    head_raw,
-                    head_scalar,
-                    denom,
-                    denom_sum,
-                );
-                // Scale by 1/Σexp into the final head vector.
-                b.emit(Instruction::Riscv {
-                    opsize: hd as u32,
-                    pc: pc::VEC_SCALE,
-                    rd: head_final,
-                    rs: head_raw,
-                });
-                // Fold this head into x via the output projection.
-                b.set_phase(BlockPhase::FcWo);
-                b.gemv_accumulate(&wo, VecSource::Sb(head_final), head * hd, hd, tmp, x_slot);
-                b.set_phase(BlockPhase::FcQkv);
+        b.gemv_pass(&p.wq, normed, pass, None, ring);
+        for (i, head) in pass_heads(pass, cfg.heads) {
+            let q_slot = head_slot(i);
+            if rope_on {
+                b.set_phase(BlockPhase::Rope);
+                emit_rope(&mut b, p, rope_entry, q_slot, rope_ab, rope_prod, hd);
             }
-        });
+            b.set_phase(BlockPhase::Attention);
+            emit_attention_head(
+                &mut b,
+                &p.kv[head / group],
+                q_slot,
+                ctx,
+                hd_beats,
+                score_slot,
+                exp_slot,
+                head_raw,
+                head_scalar,
+                denom,
+                denom_sum,
+            );
+            // Scale by 1/Σexp into the final head vector.
+            b.emit(Instruction::Riscv {
+                opsize: hd as u32,
+                pc: riscv_pc::VEC_SCALE,
+                rd: head_final,
+                rs: head_raw,
+            });
+            // Fold this head into x via the output projection.
+            b.set_phase(BlockPhase::FcWo);
+            b.gemv_accumulate(&p.wo, VecSource::Sb(head_final), head * hd, hd, tmp, x_slot);
+        }
     }
 
     // ---- Phase 5: RMSNorm(x1) and the FFN. ---------------------------------
     b.set_phase(BlockPhase::Norm);
     let norm_stride2 = b.rmsnorm_to_scratch(chmask, p.dot_row, p.norm_row, x_slot, h, scratch);
     let normed2 = VecSource::ScratchQuartered { row: p.norm_row, per_group: norm_stride2 };
-    let gate_ring = ring;
-    let up_ring = b.sb.alloc(ring_slots)?;
-    let silu_af = cent_pim_af_silu();
-    let gelu_af = cent_pim_af_gelu();
-    let w1 = p.w1.clone();
-    let w2 = p.w2.clone();
-    let w3 = p.w3.clone();
-    let ffn_row = p.ffn_row;
+    // Gated FFNs stream gate (SiLU in the registers) and up pass-by-pass and
+    // multiply each chunk in the scratch banks; plain FFNs apply GeLU to W1
+    // and feed the ring straight to W2. Either way each chunk folds into x
+    // through W2.
+    let (af, w3) = match cfg.ffn {
+        FfnKind::GatedSilu => (AF_SILU, Some(p.w3.as_ref().expect("gated FFN has w3"))),
+        FfnKind::Gelu => (AF_GELU, None),
+    };
     b.set_phase(BlockPhase::FcFfn);
-    match cfg.ffn {
-        FfnKind::GatedSilu => {
-            let w3 = w3.expect("gated FFN has w3");
-            // Gate and up stream pass-by-pass; each chunk is multiplied in
-            // the scratch banks and folded into x through W2.
-            for pass in 0..w1.passes {
-                emit_one_pass(&mut b, &w1, normed2, pass, Some(silu_af), gate_ring);
-                emit_one_pass(&mut b, &w3, normed2, pass, None, up_ring);
-                let chunk = 512 * c;
-                let chunk_base = pass * chunk;
-                let chunk_len = chunk.min(cfg.ffn_hidden.saturating_sub(chunk_base));
-                if chunk_len == 0 {
-                    break;
-                }
-                let beats = chunk_len.div_ceil(LANES_PER_BEAT);
-                let per_group = b.ew_mul_scratch(chmask, ffn_row, gate_ring, up_ring, beats);
-                b.gemv_accumulate(
-                    &w2,
-                    VecSource::ScratchQuartered { row: ffn_row, per_group },
-                    chunk_base,
-                    chunk_len,
-                    tmp,
-                    x_slot,
-                );
-            }
+    for pass in 0..p.w1.passes {
+        b.gemv_pass(&p.w1, normed2, pass, Some(af), ring);
+        if let Some(w3) = w3 {
+            b.gemv_pass(w3, normed2, pass, None, up_ring);
         }
-        FfnKind::Gelu => {
-            // Plain FFN: W1 with GeLU in the registers, then W2.
-            for pass in 0..w1.passes {
-                emit_one_pass(&mut b, &w1, normed2, pass, Some(gelu_af), gate_ring);
-                let chunk = 512 * c;
-                let chunk_base = pass * chunk;
-                let chunk_len = chunk.min(cfg.ffn_hidden.saturating_sub(chunk_base));
-                if chunk_len == 0 {
-                    break;
-                }
-                b.gemv_accumulate(
-                    &w2,
-                    VecSource::Sb(gate_ring),
-                    chunk_base,
-                    chunk_len,
-                    tmp,
-                    x_slot,
-                );
-            }
+        let chunk = 512 * c;
+        let chunk_base = pass * chunk;
+        let chunk_len = chunk.min(cfg.ffn_hidden.saturating_sub(chunk_base));
+        if chunk_len == 0 {
+            break;
         }
+        let source = if w3.is_some() {
+            let beats = chunk_len.div_ceil(LANES_PER_BEAT);
+            let per_group = b.ew_mul_scratch(chmask, p.ffn_row, ring, up_ring, beats);
+            VecSource::ScratchQuartered { row: p.ffn_row, per_group }
+        } else {
+            VecSource::Sb(ring)
+        };
+        b.gemv_accumulate(&p.w2, source, chunk_base, chunk_len, tmp, x_slot);
     }
 
     let sb_high_water = b.sb.high_water();
@@ -470,63 +455,11 @@ pub fn compile_decode_step(p: &BlockPlacement, position: usize) -> CentResult<Bl
     Ok(BlockStep { trace, tags, x_slot, x_beats, sb_high_water })
 }
 
-/// AF id of SiLU in the PIM lookup tables.
-fn cent_pim_af_silu() -> u8 {
-    4 // matches cent_pim::ActivationFunction::Silu
-}
+/// AF id of SiLU in the PIM lookup tables (`cent_pim::ActivationFunction`).
+const AF_SILU: u8 = 4;
 
-/// AF id of GeLU in the PIM lookup tables.
-fn cent_pim_af_gelu() -> u8 {
-    3 // matches cent_pim::ActivationFunction::Gelu
-}
-
-/// Emits a single GEMV pass into a ring (helper shared by the FFN phases).
-fn emit_one_pass(
-    b: &mut TraceBuilder,
-    layout: &GemvLayout,
-    source: VecSource,
-    pass: usize,
-    af_id: Option<u8>,
-    ring: SbSlot,
-) {
-    use cent_isa::MacOperand;
-    use cent_types::AccRegId;
-    let chmask = layout.chmask();
-    let pass_slots = ACC_REGS_PER_PU * layout.channels.len();
-    let regs = layout.regs_in_pass(pass);
-    for tile in 0..layout.tiles {
-        let beats = layout.tile_beats(tile);
-        b.load_tile(chmask, source, tile, beats);
-        for reg in 0..regs {
-            if tile == 0 {
-                b.emit(Instruction::WrBias {
-                    chmask,
-                    rs: b.zero_slot,
-                    reg: AccRegId::new(reg as u8),
-                });
-            }
-            b.emit(Instruction::MacAbk {
-                chmask,
-                opsize: beats as u32,
-                row: layout.dram_row(pass, reg, tile),
-                col: ColAddr(0),
-                reg: AccRegId::new(reg as u8),
-                operand: MacOperand::GlobalBuffer { slot: 0 },
-            });
-        }
-    }
-    for reg in 0..regs {
-        if let Some(af) = af_id {
-            b.emit(Instruction::Af { chmask, af_id: af, reg: AccRegId::new(reg as u8) });
-        }
-        let local = layout.out_slot(0, pass, reg) - pass * pass_slots;
-        b.emit(Instruction::RdMac {
-            chmask,
-            rd: SbSlot((ring.index() + local) as u16),
-            reg: AccRegId::new(reg as u8),
-        });
-    }
-}
+/// AF id of GeLU in the PIM lookup tables (`cent_pim::ActivationFunction`).
+const AF_GELU: u8 = 3;
 
 /// Emits RoPE for one head in place: deinterleave on a RISC-V core, two
 /// element-wise product layouts in the PIM banks (groups 0 and 1 compute
@@ -546,7 +479,7 @@ fn emit_rope(
     let (row, col) = entry;
     b.emit(Instruction::Riscv {
         opsize: (hd / 2) as u32,
-        pc: pc::DEINTERLEAVE,
+        pc: riscv_pc::DEINTERLEAVE,
         rd: rope_ab,
         rs: head_slot,
     });
@@ -584,7 +517,7 @@ fn emit_rope(
     });
     b.emit(Instruction::Riscv {
         opsize: (hd / 2) as u32,
-        pc: pc::ROPE_COMBINE,
+        pc: riscv_pc::ROPE_COMBINE,
         rd: head_slot,
         rs: rope_prod,
     });
@@ -658,7 +591,7 @@ fn emit_attention_head(
             let valid = LANES_PER_BEAT - (last_token - ctx);
             b.emit(Instruction::Riscv {
                 opsize: valid as u32,
-                pc: pc::ZERO_TAIL,
+                pc: riscv_pc::ZERO_TAIL,
                 rd: SbSlot((exp_slot.index() + groups - 1) as u16),
                 rs: exp_slot,
             });
@@ -711,5 +644,5 @@ fn emit_attention_head(
             reg: AccRegId::new((v_reg0 + dg) as u8),
         });
     }
-    b.emit(Instruction::Riscv { opsize: 1, pc: pc::RECIP, rd: head_scalar, rs: denom_sum });
+    b.emit(Instruction::Riscv { opsize: 1, pc: riscv_pc::RECIP, rd: head_scalar, rs: denom_sum });
 }

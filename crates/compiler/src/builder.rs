@@ -1,24 +1,27 @@
 //! Instruction-trace builder: compiles LLM operations to CENT instructions.
 //!
-//! [`TraceBuilder::gemv`] is the paper's Figure 11 compilation (vector to
-//! Global Buffer, `WR_BIAS`/`MAC_ABK`/`RD_MAC` per matrix-row group),
-//! generalised to:
+//! [`TraceBuilder::gemv_pass`] is the paper's Figure 11 compilation (vector
+//! to Global Buffer, `WR_BIAS`/`MAC_ABK`/`RD_MAC` per matrix-row group) for
+//! one register pass of a matrix, generalised to:
 //!
 //! * multi-channel sharding with element-ordered Shared Buffer output;
 //! * input tiling through the 64-slot Global Buffer;
-//! * *chunked accumulation* for matrices whose output exceeds the
-//!   32 accumulation registers × 16 banks budget: partials drain through
-//!   `RD_MAC` and accumulate in the Shared Buffer via the PNM `ACC` units;
 //! * input sourced either from the Shared Buffer (`WR_GB`) or directly from
-//!   DRAM scratch banks (`COPY_BKGB`), which is how normalised vectors and
-//!   FFN products flow without occupying Shared Buffer space.
+//!   quartered DRAM scratch banks (`COPY_BKGB`), which is how normalised
+//!   vectors and FFN products flow without occupying Shared Buffer space.
+//!
+//! Callers loop over passes, consuming each pass's outputs before the next
+//! one reuses its drain region. [`TraceBuilder::gemv_accumulate`] is the
+//! *chunked accumulation* form for inputs produced piecewise: partials
+//! drain through `RD_MAC` and accumulate in the Shared Buffer via the PNM
+//! `ACC` units.
 
 use cent_types::consts::{ACC_REGS_PER_PU, COLS_PER_ROW, GLOBAL_BUFFER_SLOTS, LANES_PER_BEAT};
 use cent_types::{
     AccRegId, BankId, CentError, CentResult, ChannelId, ChannelMask, ColAddr, RowAddr, SbSlot,
 };
 
-use cent_isa::{Instruction, MacOperand};
+use cent_isa::{riscv_pc, Instruction, MacOperand};
 
 use crate::layout::GemvLayout;
 
@@ -44,42 +47,11 @@ pub enum BlockPhase {
     Other,
 }
 
-/// Well-known RISC-V routine PCs (mirrors `cent_device::riscv_pc`; duplicated
-/// here so the compiler does not depend on the device crate).
-pub mod pc {
-    /// `1/sqrt(x)`.
-    pub const RSQRT: u32 = 0x100;
-    /// `1/x`.
-    pub const RECIP: u32 = 0x200;
-    /// RMSNorm scale.
-    pub const RMSNORM_SCALE: u32 = 0x300;
-    /// Rotary-embedding combine.
-    pub const ROPE_COMBINE: u32 = 0x400;
-    /// Vector add.
-    pub const VEC_ADD: u32 = 0x500;
-    /// Vector × scalar.
-    pub const VEC_SCALE: u32 = 0x600;
-    /// Even/odd deinterleave (RoPE complex transform).
-    pub const DEINTERLEAVE: u32 = 0x700;
-    /// Scalar minus a count (softmax padding correction).
-    pub const SUB_COUNT: u32 = 0x800;
-    /// Zero the tail lanes of one beat (softmax pad clearing).
-    pub const ZERO_TAIL: u32 = 0x900;
-}
-
 /// Where a GEMV input vector comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VecSource {
     /// Contiguous Shared Buffer slots (loaded to the GB with `WR_GB`).
     Sb(SbSlot),
-    /// DRAM scratch: the vector sits in `bank` of **every** matrix channel
-    /// starting at `(row, col 0)`, beat-contiguous (loaded with `COPY_BKGB`).
-    Scratch {
-        /// Bank holding the vector in each channel.
-        bank: BankId,
-        /// First DRAM row.
-        row: RowAddr,
-    },
     /// DRAM scratch as produced by [`TraceBuilder::ew_mul_scratch`]: the
     /// vector is quartered across bank groups — quarter `g` lives in bank
     /// `4g+2` with `per_group` beats starting at `(row, col 0)`.
@@ -90,6 +62,10 @@ pub enum VecSource {
         per_group: usize,
     },
 }
+
+/// Slots every trace reserves before its bump allocator starts: the zero
+/// beat, the ones beat and the RMSNorm scale scalar.
+pub(crate) const CONSTANT_SLOTS: usize = 3;
 
 /// A Shared Buffer bump allocator for one block trace.
 #[derive(Debug, Clone)]
@@ -164,7 +140,7 @@ impl Default for TraceBuilder {
 
 impl TraceBuilder {
     /// Creates a builder. Slots 0 and 1 are reserved for the zero/one
-    /// constant beats.
+    /// constant beats and slot 2 for the RMSNorm scale.
     pub fn new() -> Self {
         TraceBuilder {
             trace: Vec::new(),
@@ -173,7 +149,7 @@ impl TraceBuilder {
             zero_slot: SbSlot(0),
             ones_slot: SbSlot(1),
             scale_slot: SbSlot(2),
-            sb: SbAllocator::new(3),
+            sb: SbAllocator::new(CONSTANT_SLOTS),
         }
     }
 
@@ -188,19 +164,9 @@ impl TraceBuilder {
         self.phase = phase;
     }
 
-    /// Per-instruction phase tags (parallel to [`Self::trace`]).
-    pub fn tags(&self) -> &[BlockPhase] {
-        &self.tags
-    }
-
     /// Consumes the builder, returning `(trace, tags)`.
     pub fn finish_tagged(self) -> (Vec<Instruction>, Vec<BlockPhase>) {
         (self.trace, self.tags)
-    }
-
-    /// The instructions emitted so far.
-    pub fn trace(&self) -> &[Instruction] {
-        &self.trace
     }
 
     /// Consumes the builder, returning the trace.
@@ -209,13 +175,7 @@ impl TraceBuilder {
     }
 
     /// Loads one input tile into the Global Buffers of `chmask`.
-    pub(crate) fn load_tile(
-        &mut self,
-        chmask: ChannelMask,
-        source: VecSource,
-        tile: usize,
-        beats: usize,
-    ) {
+    fn load_tile(&mut self, chmask: ChannelMask, source: VecSource, tile: usize, beats: usize) {
         match source {
             VecSource::Sb(base) => self.emit(Instruction::WrGb {
                 chmask,
@@ -223,18 +183,6 @@ impl TraceBuilder {
                 gb_slot: 0,
                 rs: base.offset((tile * GLOBAL_BUFFER_SLOTS) as u16),
             }),
-            VecSource::Scratch { bank, row } => {
-                // Tile t occupies beats [t·64, t·64+beats) of the scratch
-                // run; one DRAM row holds exactly one tile.
-                self.emit(Instruction::CopyBkGb {
-                    chmask,
-                    opsize: beats as u32,
-                    bank,
-                    row: RowAddr(row.0 + tile as u32),
-                    col: ColAddr(0),
-                    gb_slot: 0,
-                });
-            }
             VecSource::ScratchQuartered { row, per_group } => {
                 // Quarters live in banks 4g+2; a GB tile may straddle
                 // quarter boundaries, so split the copy per quarter run.
@@ -262,54 +210,51 @@ impl TraceBuilder {
         }
     }
 
-    /// Figure 11: full GEMV of `layout` with input `source`, writing the
-    /// element-ordered result to `out` (`layout.out_slots()` slots).
+    /// Figure 11: one register pass of the GEMV of `layout` with input
+    /// `source`. Every input tile is loaded into the Global Buffers and
+    /// multiplied into the pass's registers (zeroed by `WR_BIAS` on the
+    /// first tile); `RD_MAC` then drains them to `dst` in element order,
+    /// i.e. outputs `[pass · 512 · C, (pass+1) · 512 · C)` of the matrix
+    /// land in `layout.pass_slots()` slots at `dst`.
     ///
     /// `af_id` optionally applies an activation function to every
-    /// accumulator before read-out (used for the FFN's SiLU).
-    ///
-    /// Only valid when the matrix fits one pass per physical register set
-    /// (`layout.passes ≤ 1`) — larger matrices must use
-    /// [`Self::gemv_accumulate`]. Multi-pass single-shot is still allowed;
-    /// each pass has exclusive use of the registers because its `RD_MAC`
-    /// completes before the next pass starts.
-    pub fn gemv(&mut self, layout: &GemvLayout, source: VecSource, out: SbSlot, af_id: Option<u8>) {
+    /// accumulator before read-out (the FFN's SiLU or GeLU).
+    pub fn gemv_pass(
+        &mut self,
+        layout: &GemvLayout,
+        source: VecSource,
+        pass: usize,
+        af_id: Option<u8>,
+        dst: SbSlot,
+    ) {
         let chmask = layout.chmask();
-        let channels = layout.channels.len();
-        for pass in 0..layout.passes {
-            let regs = layout.regs_in_pass(pass);
-            for tile in 0..layout.tiles {
-                let beats = layout.tile_beats(tile);
-                self.load_tile(chmask, source, tile, beats);
-                for reg in 0..regs {
-                    if tile == 0 {
-                        self.emit(Instruction::WrBias {
-                            chmask,
-                            rs: self.zero_slot,
-                            reg: AccRegId::new(reg as u8),
-                        });
-                    }
-                    self.emit(Instruction::MacAbk {
-                        chmask,
-                        opsize: beats as u32,
-                        row: layout.dram_row(pass, reg, tile),
-                        col: ColAddr(0),
-                        reg: AccRegId::new(reg as u8),
-                        operand: MacOperand::GlobalBuffer { slot: 0 },
-                    });
-                }
-            }
+        let regs = layout.regs_in_pass(pass);
+        for tile in 0..layout.tiles {
+            let beats = layout.tile_beats(tile);
+            self.load_tile(chmask, source, tile, beats);
             for reg in 0..regs {
-                if let Some(af) = af_id {
-                    self.emit(Instruction::Af { chmask, af_id: af, reg: AccRegId::new(reg as u8) });
+                let reg_id = AccRegId::new(reg as u8);
+                if tile == 0 {
+                    self.emit(Instruction::WrBias { chmask, rs: self.zero_slot, reg: reg_id });
                 }
-                self.emit(Instruction::RdMac {
+                self.emit(Instruction::MacAbk {
                     chmask,
-                    rd: SbSlot((out.index() + layout.out_slot(0, pass, reg)) as u16),
-                    reg: AccRegId::new(reg as u8),
+                    opsize: beats as u32,
+                    row: layout.dram_row(pass, reg, tile),
+                    col: ColAddr(0),
+                    reg: reg_id,
+                    operand: MacOperand::GlobalBuffer { slot: 0 },
                 });
             }
-            let _ = channels;
+        }
+        for reg in 0..regs {
+            let reg_id = AccRegId::new(reg as u8);
+            if let Some(af_id) = af_id {
+                self.emit(Instruction::Af { chmask, af_id, reg: reg_id });
+            }
+            // The pass-local slot: `out_slot` of the same register in pass 0.
+            let rd = dst.offset(layout.out_slot(0, 0, reg) as u16);
+            self.emit(Instruction::RdMac { chmask, rd, reg: reg_id });
         }
     }
 
@@ -368,16 +313,6 @@ impl TraceBuilder {
                         gb_slot: 0,
                         rs: base.offset(chunk_beat as u16),
                     }),
-                    VecSource::Scratch { bank, row } => {
-                        self.emit(Instruction::CopyBkGb {
-                            chmask,
-                            opsize: beats as u32,
-                            bank,
-                            row: RowAddr(row.0 + (chunk_beat / COLS_PER_ROW) as u32),
-                            col: ColAddr((chunk_beat % COLS_PER_ROW) as u32),
-                            gb_slot: 0,
-                        });
-                    }
                     VecSource::ScratchQuartered { row, per_group } => {
                         let quarter = chunk_beat / per_group;
                         let qbeat = chunk_beat % per_group;
@@ -421,61 +356,6 @@ impl TraceBuilder {
         }
     }
 
-    /// GEMV that drains each pass into a ring region of
-    /// `32 · channels` slots and hands control to `after_pass` before the
-    /// ring is reused — the streaming form used when the full output vector
-    /// would not fit the Shared Buffer (K/V/Q of large models).
-    ///
-    /// `after_pass(builder, pass)` sees the pass outputs in element order at
-    /// `ring` (outputs `[pass · 512 · C, (pass+1) · 512 · C)`).
-    pub fn gemv_ring(
-        &mut self,
-        layout: &GemvLayout,
-        source: VecSource,
-        ring: SbSlot,
-        af_id: Option<u8>,
-        mut after_pass: impl FnMut(&mut Self, usize),
-    ) {
-        let chmask = layout.chmask();
-        let pass_slots = ACC_REGS_PER_PU * layout.channels.len();
-        for pass in 0..layout.passes {
-            let regs = layout.regs_in_pass(pass);
-            for tile in 0..layout.tiles {
-                let beats = layout.tile_beats(tile);
-                self.load_tile(chmask, source, tile, beats);
-                for reg in 0..regs {
-                    if tile == 0 {
-                        self.emit(Instruction::WrBias {
-                            chmask,
-                            rs: self.zero_slot,
-                            reg: AccRegId::new(reg as u8),
-                        });
-                    }
-                    self.emit(Instruction::MacAbk {
-                        chmask,
-                        opsize: beats as u32,
-                        row: layout.dram_row(pass, reg, tile),
-                        col: ColAddr(0),
-                        reg: AccRegId::new(reg as u8),
-                        operand: MacOperand::GlobalBuffer { slot: 0 },
-                    });
-                }
-            }
-            for reg in 0..regs {
-                if let Some(af) = af_id {
-                    self.emit(Instruction::Af { chmask, af_id: af, reg: AccRegId::new(reg as u8) });
-                }
-                let local = layout.out_slot(0, pass, reg) - pass * pass_slots;
-                self.emit(Instruction::RdMac {
-                    chmask,
-                    rd: SbSlot((ring.index() + local) as u16),
-                    reg: AccRegId::new(reg as u8),
-                });
-            }
-            after_pass(self, pass);
-        }
-    }
-
     /// Self dot product `x · x` via neighbour-bank MAC (§5.4(b)): `x` is
     /// duplicated into both banks of the 8 bank pairs of `channel` at
     /// `scratch_row`, then one neighbour-mode `MAC_ABK` accumulates the 8
@@ -494,12 +374,7 @@ impl TraceBuilder {
         out: SbSlot,
     ) {
         let per_pair = beats.div_ceil(8);
-        for pair in 0..8u16 {
-            let base = pair as usize * per_pair;
-            if base >= beats {
-                break;
-            }
-            let n = per_pair.min(beats - base);
+        for (pair, base, n) in split_runs(beats, 8) {
             for bank in [BankId(2 * pair), BankId(2 * pair + 1)] {
                 self.emit(Instruction::WrSbk {
                     ch: channel,
@@ -544,12 +419,7 @@ impl TraceBuilder {
     ) -> usize {
         let per_group = beats.div_ceil(4);
         for ch in chmask.iter() {
-            for g in 0..4u16 {
-                let base = g as usize * per_group;
-                if base >= beats {
-                    break;
-                }
-                let n = per_group.min(beats - base);
+            for (g, base, n) in split_runs(beats, 4) {
                 self.emit(Instruction::WrSbk {
                     ch,
                     opsize: n as u32,
@@ -575,33 +445,6 @@ impl TraceBuilder {
             col: ColAddr(0),
         });
         per_group
-    }
-
-    /// Reads a vector previously produced by [`Self::ew_mul_scratch`] back
-    /// into the Shared Buffer from one channel.
-    pub fn read_ew_product(
-        &mut self,
-        channel: ChannelId,
-        scratch_row: RowAddr,
-        beats: usize,
-        per_group: usize,
-        out: SbSlot,
-    ) {
-        for g in 0..4u16 {
-            let base = g as usize * per_group;
-            if base >= beats {
-                break;
-            }
-            let n = per_group.min(beats - base);
-            self.emit(Instruction::RdSbk {
-                ch: channel,
-                opsize: n as u32,
-                bank: BankId(4 * g + 2),
-                row: scratch_row,
-                col: ColAddr(0),
-                rd: out.offset(base as u16),
-            });
-        }
     }
 
     /// RMSNorm without the gain (which is folded into the following weight
@@ -634,7 +477,7 @@ impl TraceBuilder {
         //    fixed scale slot (directly after the ones beat).
         self.emit(Instruction::Riscv {
             opsize: n_elems as u32,
-            pc: pc::RMSNORM_SCALE,
+            pc: riscv_pc::RMSNORM_SCALE,
             rd: self.scale_slot,
             rs: sumsq,
         });
@@ -644,7 +487,7 @@ impl TraceBuilder {
         let scale_vec = scratch.offset(2);
         self.emit(Instruction::Riscv {
             opsize: 16,
-            pc: pc::VEC_SCALE,
+            pc: riscv_pc::VEC_SCALE,
             rd: scale_vec,
             rs: self.ones_slot,
         });
@@ -652,12 +495,7 @@ impl TraceBuilder {
         //    scratch row, replicating it across the whole vector length.
         let per_group = beats.div_ceil(4);
         self.emit(Instruction::WrGb { chmask, opsize: 1, gb_slot: 0, rs: scale_vec });
-        for g in 0..4u16 {
-            let base = g as usize * per_group;
-            if base >= beats {
-                break;
-            }
-            let n = per_group.min(beats - base);
+        for (g, _, n) in split_runs(beats, 4) {
             for b in 0..n {
                 // COPY_GBBK re-reads GB slot 0 for every beat by issuing
                 // one-beat copies (the GB cursor walks otherwise).
@@ -673,12 +511,7 @@ impl TraceBuilder {
         }
         // 5. x into bank 4g and multiply.
         for ch in chmask.iter() {
-            for g in 0..4u16 {
-                let base = g as usize * per_group;
-                if base >= beats {
-                    break;
-                }
-                let n = per_group.min(beats - base);
+            for (g, base, n) in split_runs(beats, 4) {
                 self.emit(Instruction::WrSbk {
                     ch,
                     opsize: n as u32,
@@ -697,6 +530,17 @@ impl TraceBuilder {
         });
         per_group
     }
+}
+
+/// Splits a `beats`-long vector into `parts` contiguous runs of
+/// `ceil(beats / parts)` beats, one per bank pair or bank group: yields
+/// `(part, first beat, beats)` for every non-empty run, in part order.
+fn split_runs(beats: usize, parts: u16) -> impl Iterator<Item = (u16, usize, usize)> {
+    let per_part = beats.div_ceil(usize::from(parts));
+    (0..parts)
+        .map(move |part| (part, usize::from(part) * per_part))
+        .take_while(move |&(_, base)| base < beats)
+        .map(move |(part, base)| (part, base, per_part.min(beats - base)))
 }
 
 #[cfg(test)]
@@ -729,7 +573,7 @@ mod tests {
         let layout = GemvLayout::plan(chans(1), RowAddr(0), 32, 64).unwrap();
         let mut b = TraceBuilder::new();
         let out = b.sb.alloc(layout.out_slots()).unwrap();
-        b.gemv(&layout, VecSource::Sb(SbSlot(100)), out, None);
+        b.gemv_pass(&layout, VecSource::Sb(SbSlot(100)), 0, None, out);
         let trace = b.finish();
         // WR_GB + one (WR_BIAS + MAC_ABK + RD_MAC) per used register:
         // a 32-row matrix = 2 output groups on one channel = 2 registers.
@@ -748,7 +592,7 @@ mod tests {
         let layout = GemvLayout::plan(chans(2), RowAddr(0), 64, 4096).unwrap();
         let mut b = TraceBuilder::new();
         let out = b.sb.alloc(layout.out_slots()).unwrap();
-        b.gemv(&layout, VecSource::Sb(SbSlot(200)), out, None);
+        b.gemv_pass(&layout, VecSource::Sb(SbSlot(200)), 0, None, out);
         let trace = b.finish();
         let wr_gb = trace.iter().filter(|i| i.mnemonic() == "WR_GB").count();
         assert_eq!(wr_gb, 4);
@@ -762,7 +606,7 @@ mod tests {
         let layout = GemvLayout::plan(chans(1), RowAddr(0), 16, 64).unwrap();
         let mut b = TraceBuilder::new();
         let out = b.sb.alloc(layout.out_slots()).unwrap();
-        b.gemv(&layout, VecSource::Sb(SbSlot(50)), out, Some(4));
+        b.gemv_pass(&layout, VecSource::Sb(SbSlot(50)), 0, Some(4), out);
         let trace = b.finish();
         let af_pos = trace.iter().position(|i| i.mnemonic() == "AF").unwrap();
         let rd_pos = trace.iter().position(|i| i.mnemonic() == "RD_MAC").unwrap();
@@ -856,8 +700,8 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(riscv.contains(&pc::RMSNORM_SCALE));
-        assert!(riscv.contains(&pc::VEC_SCALE));
+        assert!(riscv.contains(&riscv_pc::RMSNORM_SCALE));
+        assert!(riscv.contains(&riscv_pc::VEC_SCALE));
         assert_eq!(trace.iter().filter(|i| i.mnemonic() == "EW_MUL").count(), 1);
     }
 }

@@ -17,6 +17,31 @@ use core::fmt;
 
 use cent_types::{AccRegId, BankId, ChannelId, ChannelMask, ColAddr, DeviceId, RowAddr, SbSlot};
 
+/// Start PCs of the canned PNM RISC-V routines that `RISCV` instructions
+/// name in their `pc` field (the host loads the routines into the cores'
+/// 64 KB buffers at boot, §4.2). The compiler emits these ids and the device
+/// dispatches on them.
+pub mod riscv_pc {
+    /// `1/sqrt(x)` of one scalar.
+    pub const RSQRT: u32 = 0x100;
+    /// `1/x` of one scalar.
+    pub const RECIP: u32 = 0x200;
+    /// RMSNorm scale `1/sqrt(sum/n + eps)`.
+    pub const RMSNORM_SCALE: u32 = 0x300;
+    /// Rotary-embedding combine of four product arrays.
+    pub const ROPE_COMBINE: u32 = 0x400;
+    /// Element-wise vector addition (residual connections).
+    pub const VEC_ADD: u32 = 0x500;
+    /// Vector × scalar scaling.
+    pub const VEC_SCALE: u32 = 0x600;
+    /// Even/odd deinterleave (RoPE complex regrouping).
+    pub const DEINTERLEAVE: u32 = 0x700;
+    /// Scalar minus a count (softmax padding correction).
+    pub const SUB_COUNT: u32 = 0x800;
+    /// Zero the tail lanes of one beat (softmax pad clearing).
+    pub const ZERO_TAIL: u32 = 0x900;
+}
+
 /// Second-operand source of `MAC_ABK` (Figure 7a datapath mux).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacOperand {
@@ -100,7 +125,8 @@ pub enum Instruction {
     Riscv {
         /// Data size hint handed to the routine (element count).
         opsize: u32,
-        /// Routine id / start PC within the core's 64 KB buffer.
+        /// Routine id / start PC within the core's 64 KB buffer (see
+        /// [`riscv_pc`]).
         pc: u32,
         /// Destination slot argument.
         rd: SbSlot,

@@ -7,7 +7,8 @@
 //! This crate provides:
 //!
 //! * [`Instruction`] — the full ISA as a typed enum with paper-style
-//!   assembly [`Display`](core::fmt::Display) output;
+//!   assembly [`Display`](core::fmt::Display) output, and [`riscv_pc`] —
+//!   the routine ids its `RISCV` instruction names;
 //! * [`encode`]/[`decode`] — the fixed 16-byte binary format streamed into
 //!   each device's 2 MB instruction buffer (128 K instructions);
 //! * [`analyze`] — trace statistics incl. the MAC-FLOP fraction behind the
@@ -21,4 +22,4 @@ mod inst;
 
 pub use encode::{decode, decode_trace, encode, encode_trace, INST_BYTES};
 pub use expand::{analyze, flop_count, micro_op_count, TraceStats};
-pub use inst::{Instruction, MacOperand};
+pub use inst::{riscv_pc, Instruction, MacOperand};

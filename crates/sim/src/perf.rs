@@ -81,6 +81,12 @@ pub fn evaluate(
         .delivered_at;
 
     let tp = mapping.tp_degree.max(1);
+    // FC work spreads over tp × 32 channels; the simulation used
+    // `sim_channels`, so rescale accordingly.
+    let shard_channels = tp * cent_types::consts::CHANNELS_PER_DEVICE;
+    let tp_fc_time = |b: &BlockTiming| {
+        Time::from_ps(b.fc_time().as_ps() * sim_channels as u64 / shard_channels as u64)
+    };
     let (stage_time, cxl_per_block) = if tp > 1 {
         // TP: FC sharded across the group; master phases unscaled; every
         // block broadcasts the embedding and gathers FC partials.
@@ -92,12 +98,7 @@ pub fn evaluate(
             .gather(NodeId::Device(DeviceId(0)), &targets, gather_bytes, Time::ZERO)?
             .delivered_at;
         let comm = bcast + gather;
-        // FC work spreads over tp × 32 channels; the simulation used
-        // `sim_channels`, so rescale accordingly.
-        let shard_channels = tp * cent_types::consts::CHANNELS_PER_DEVICE;
-        let fc =
-            Time::from_ps(block.fc_time().as_ps() * sim_channels as u64 / shard_channels as u64);
-        (fc + block.master_time() + comm, comm)
+        (tp_fc_time(&block) + block.master_time() + comm, comm)
     } else {
         (block.total, Time::ZERO)
     };
@@ -116,13 +117,10 @@ pub fn evaluate(
     let stage_interval = Time::from_ps((stage_time.as_ps() as f64 * sharing) as u64) + hop;
 
     let stages = if mapping.batch > 1 { cfg.layers } else { 1 };
-    let token_latency = if mapping.batch > 1 {
-        // PP: a token traverses all stages; the host samples at the end.
-        Time::from_ps(stage_interval.as_ps() * cfg.layers as u64) + host::TOP_K_SAMPLING
-    } else {
-        // TP: all devices advance one block at a time.
-        Time::from_ps(stage_interval.as_ps() * cfg.layers as u64) + host::TOP_K_SAMPLING
-    };
+    // A token traverses every block (PP: one stage each; TP: all devices
+    // advance one block at a time); the host samples at the end.
+    let token_latency =
+        Time::from_ps(stage_interval.as_ps() * cfg.layers as u64) + host::TOP_K_SAMPLING;
     let replicas = mapping.replicas.max(1) as f64;
     let decode_tokens_per_s = if mapping.batch > 1 {
         // One query-token exits the pipeline per stage interval.
@@ -134,10 +132,7 @@ pub fn evaluate(
     // throughput matches decode token rate at small contexts.
     let prefill_block = simulate_block_avg(cfg, sim_channels, context.min(512))?;
     let prefill_interval = if tp > 1 {
-        let shard_channels = tp * cent_types::consts::CHANNELS_PER_DEVICE;
-        Time::from_ps(prefill_block.fc_time().as_ps() * sim_channels as u64 / shard_channels as u64)
-            + prefill_block.master_time()
-            + cxl_per_block
+        tp_fc_time(&prefill_block) + prefill_block.master_time() + cxl_per_block
     } else {
         prefill_block.total
     };
