@@ -12,18 +12,18 @@ fn main() {
         "CENT scalability (Llama2-70B)",
         "0.68K tokens/s at 16 devices to 5.7K at 128; throughput plateaus where 80 blocks divide unevenly",
     );
-    match scalability_sweep(&cfg, &counts, 4096) {
-        Ok(points) => {
-            let tput: Vec<(String, f64)> = points
-                .iter()
-                .map(|p| (format!("{} devices", p.devices), p.tokens_per_s / 1000.0))
-                .collect();
-            let util: Vec<(String, f64)> =
-                points.iter().map(|p| (format!("{} devices", p.devices), p.utilization)).collect();
-            report.push_series("decode throughput", "K tokens/s", &tput);
-            report.push_series("device utilization", "fraction", &util);
-        }
-        Err(e) => eprintln!("scalability sweep failed: {e}"),
-    }
+    // A failed sweep exits non-zero instead of emitting an empty figure.
+    let points = scalability_sweep(&cfg, &counts, 4096).unwrap_or_else(|e| {
+        eprintln!("scalability sweep failed: {e}");
+        std::process::exit(1);
+    });
+    let tput: Vec<(String, f64)> = points
+        .iter()
+        .map(|p| (format!("{} devices", p.devices), p.tokens_per_s / 1000.0))
+        .collect();
+    let util: Vec<(String, f64)> =
+        points.iter().map(|p| (format!("{} devices", p.devices), p.utilization)).collect();
+    report.push_series("decode throughput", "K tokens/s", &tput);
+    report.push_series("device utilization", "fraction", &util);
     report.emit();
 }

@@ -155,11 +155,6 @@ impl CentSystem {
             .ok_or_else(|| CentError::mapping(format!("block {block} out of range")))
     }
 
-    /// Device hosting `block`.
-    pub fn block_device(&self, block: usize) -> DeviceId {
-        self.placements[block].0
-    }
-
     /// Direct device access (inspection, custom traces).
     pub fn device(&self, id: DeviceId) -> Option<&CxlDevice> {
         self.devices.get(&id)

@@ -4,17 +4,19 @@
 //! one instruction per 2 GHz cycle). PIM channels keep their own DRAM clocks
 //! and run ahead of the dispatch stream; the device clock only synchronises
 //! with a channel when an instruction *consumes* channel results (`RD_MAC`,
-//! `RD_SBK`, `COPY_BKGB`), which mirrors the queued PIM-controller design of
-//! §4.2. PNM instructions execute on the device clock; CXL receives stall
-//! until delivery.
+//! `RD_SBK`), which mirrors the queued PIM-controller design of §4.2. Every
+//! instruction that names channels, except `RD_MAC`, goes through one
+//! fan-out that advances each named channel to the decoder clock and
+//! applies the operation; multi-beat DRAM walks live in the channel. PNM instructions
+//! execute on the device clock; CXL receives stall until delivery.
 
 use cent_cxl::CommunicationEngine;
 use cent_dram::ActivityCounters;
-use cent_isa::{riscv_pc, Instruction, MacOperand};
+use cent_isa::{Instruction, MacOperand};
 use cent_pim::{ActivationFunction, MacSource, PimChannel};
 use cent_pnm::PnmStats;
 use cent_pnm::{programs, PnmCore, PnmUnits, SharedBuffer};
-use cent_types::consts::{CHANNELS_PER_DEVICE, PNM_CLOCK_PERIOD, PNM_RISCV_CORES};
+use cent_types::consts::{CHANNELS_PER_DEVICE, PNM_CLOCK_PERIOD};
 use cent_types::{Beat, CentError, CentResult, ChannelId, DeviceId, SbSlot, Time};
 
 use crate::breakdown::LatencyBreakdown;
@@ -26,12 +28,6 @@ pub struct DeviceConfig {
     pub channels: usize,
     /// Whether channels carry functional data.
     pub functional: bool,
-}
-
-impl Default for DeviceConfig {
-    fn default() -> Self {
-        DeviceConfig { channels: CHANNELS_PER_DEVICE, functional: true }
-    }
 }
 
 impl DeviceConfig {
@@ -85,12 +81,16 @@ impl DeviceConfig {
 #[derive(Debug)]
 pub struct CxlDevice {
     id: DeviceId,
-    config: DeviceConfig,
     channels: Vec<PimChannel>,
     sb: SharedBuffer,
     pnm: PnmUnits,
-    cores: Vec<PnmCore>,
-    next_core: usize,
+    /// The device has `PNM_RISCV_CORES` RISC-V cores, and that count still
+    /// sizes the power model. The model runs routines one after another:
+    /// each routine's latency is added to the decoder clock and the core
+    /// timing model keeps no state between runs, so which of the cores runs
+    /// a routine changes no time, counter or value, and one core stands in
+    /// for all of them.
+    core: PnmCore,
     now: Time,
     breakdown: LatencyBreakdown,
     instructions_executed: u64,
@@ -110,12 +110,10 @@ impl CxlDevice {
             .collect();
         CxlDevice {
             id,
-            config,
             channels,
             sb: SharedBuffer::new(),
             pnm: PnmUnits::new(),
-            cores: (0..PNM_RISCV_CORES).map(|_| PnmCore::new()).collect(),
-            next_core: 0,
+            core: PnmCore::new(),
             now: Time::ZERO,
             breakdown: LatencyBreakdown::ZERO,
             instructions_executed: 0,
@@ -125,11 +123,6 @@ impl CxlDevice {
     /// This device's fabric identity.
     pub fn id(&self) -> DeviceId {
         self.id
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.config
     }
 
     /// Current device (decoder) clock.
@@ -179,13 +172,6 @@ impl CxlDevice {
         &mut self.sb
     }
 
-    /// Direct channel access for inspection.
-    pub fn channel(&self, ch: ChannelId) -> CentResult<&PimChannel> {
-        self.channels.get(ch.index()).ok_or_else(|| {
-            CentError::config(format!("device has {} channels", self.channels.len()))
-        })
-    }
-
     /// Preloads one beat into a bank without advancing timing — model
     /// weights are loaded once before serving and are not part of inference
     /// latency (§5.6).
@@ -201,20 +187,7 @@ impl CxlDevice {
         col: cent_types::ColAddr,
         beat: &Beat,
     ) -> CentResult<()> {
-        let channel = self
-            .channels
-            .get_mut(ch.index())
-            .ok_or_else(|| CentError::config(format!("channel {ch} not present")))?;
-        // Use a scratch clone of the timing-free path: write the beat, then
-        // cancel the timing effect by treating preload as time-zero state.
-        channel.preload_beat(bank, row, col, beat)
-    }
-
-    fn channel_mut(&mut self, idx: usize) -> CentResult<&mut PimChannel> {
-        let n = self.channels.len();
-        self.channels
-            .get_mut(idx)
-            .ok_or_else(|| CentError::config(format!("channel {idx} of {n} not present")))
+        channel_mut(&mut self.channels, ch)?.preload_beat(bank, row, col, beat)
     }
 
     /// Executes one instruction. `comm` is required for CXL instructions and
@@ -231,28 +204,24 @@ impl CxlDevice {
         self.instructions_executed += 1;
         // One decoder slot per instruction.
         self.now += PNM_CLOCK_PERIOD;
+        let now = self.now;
+        let channels = &mut self.channels;
         match *inst {
             Instruction::WrGb { chmask, opsize, gb_slot, rs } => {
-                let beats: Vec<Beat> = (0..opsize)
-                    .map(|i| self.sb.read(rs.offset(i as u16)))
-                    .collect::<CentResult<_>>()?;
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
+                let beats = self.sb.slots(rs, opsize as usize)?;
+                fan_out(channels, chmask.iter(), now, |channel| {
                     for (i, beat) in beats.iter().enumerate() {
                         channel.write_gb(gb_slot as usize + i, beat);
                     }
-                }
+                    Ok(())
+                })?;
             }
             Instruction::WrBias { chmask, rs, reg } => {
                 let beat = self.sb.read(rs)?;
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
+                fan_out(channels, chmask.iter(), now, |channel| {
                     channel.write_bias(reg, &beat);
-                }
+                    Ok(())
+                })?;
             }
             Instruction::MacAbk { chmask, opsize, row, col, reg, operand } => {
                 let source = match operand {
@@ -261,134 +230,80 @@ impl CxlDevice {
                     }
                     MacOperand::NeighbourBank => MacSource::NeighbourBank,
                 };
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.mac_abk(row, col, opsize as usize, reg, source)?;
-                }
+                fan_out(channels, chmask.iter(), now, |channel| {
+                    channel.mac_abk(row, col, opsize as usize, reg, source)
+                })?;
             }
             Instruction::EwMul { chmask, opsize, row, col } => {
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.ew_mul(row, col, opsize as usize)?;
-                }
+                fan_out(channels, chmask.iter(), now, |channel| {
+                    channel.ew_mul(row, col, opsize as usize)
+                })?;
             }
             Instruction::Af { chmask, af_id, reg } => {
                 let af = ActivationFunction::from_id(af_id).ok_or_else(|| {
                     CentError::InvalidInstruction(format!("unknown AFid {af_id}"))
                 })?;
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.af(reg, af)?;
-                }
+                fan_out(channels, chmask.iter(), now, |channel| channel.af(reg, af))?;
             }
             Instruction::RdMac { chmask, rd, reg } => {
                 // Consuming results: sync with each channel's completion.
-                let mut slot = rd;
-                for ch in chmask.iter() {
-                    let busy = self.channels[ch.index()].busy_until();
+                for (i, ch) in chmask.iter().enumerate() {
+                    let busy = channel_mut(&mut self.channels, ch)?.busy_until();
                     self.sync_pim(busy);
-                    let channel = self.channel_mut(ch.index())?;
-                    let (beat, _) = channel.read_mac(reg);
-                    self.sb.write(slot, &beat)?;
-                    slot = slot.offset(1);
+                    let (beat, _) = self.channels[ch.index()].read_mac(reg);
+                    self.sb.write(rd.offset(i as u16), &beat)?;
                 }
             }
             Instruction::WrSbk { ch, opsize, bank, row, col, rs } => {
-                let now = self.now;
-                let beats: Vec<Beat> = (0..opsize)
-                    .map(|i| self.sb.read(rs.offset(i as u16)))
-                    .collect::<CentResult<_>>()?;
-                let channel = self.channel_mut(ch.index())?;
-                channel.advance_to(now);
-                let mut r = row;
-                let mut c = col.index();
-                for beat in &beats {
-                    if c >= cent_types::consts::COLS_PER_ROW {
-                        r = r.next();
-                        c = 0;
-                    }
-                    channel.write_beat(bank, r, cent_types::ColAddr(c as u32), beat)?;
-                    c += 1;
-                }
+                let beats = self.sb.slots(rs, opsize as usize)?;
+                fan_out(channels, [ch], now, |channel| channel.write_beats(bank, row, col, beats))?;
             }
             Instruction::RdSbk { ch, opsize, bank, row, col, rd } => {
-                let now = self.now;
-                let channel = self.channel_mut(ch.index())?;
-                channel.advance_to(now);
-                let mut beats = Vec::with_capacity(opsize as usize);
-                let mut r = row;
-                let mut c = col.index();
-                for _ in 0..opsize {
-                    if c >= cent_types::consts::COLS_PER_ROW {
-                        r = r.next();
-                        c = 0;
-                    }
-                    let (beat, _) = channel.read_beat(bank, r, cent_types::ColAddr(c as u32))?;
-                    beats.push(beat);
-                    c += 1;
-                }
+                // The destination is checked before the channel is touched.
+                let beats = self.sb.slots_mut(rd, opsize as usize)?;
+                fan_out(channels, [ch], now, |channel| channel.read_beats(bank, row, col, beats))?;
                 let busy = self.channels[ch.index()].busy_until();
                 self.sync_pim(busy);
-                for (i, beat) in beats.iter().enumerate() {
-                    self.sb.write(rd.offset(i as u16), beat)?;
-                }
             }
             Instruction::WrAbk { ch, row, elem, rs } => {
                 let beat = self.sb.read(rs)?;
-                let now = self.now;
-                let channel = self.channel_mut(ch.index())?;
-                channel.advance_to(now);
-                channel.write_element_all_banks(row, elem as usize, &beat)?;
+                fan_out(channels, [ch], now, |channel| {
+                    channel.write_element_all_banks(row, elem as usize, &beat)
+                })?;
             }
             Instruction::CopyBkGb { chmask, opsize, bank, row, col, gb_slot } => {
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.copy_bank_to_gb(bank, row, col, gb_slot as usize, opsize as usize)?;
-                }
+                fan_out(channels, chmask.iter(), now, |channel| {
+                    channel.copy_bank_to_gb(bank, row, col, gb_slot as usize, opsize as usize)
+                })?;
             }
             Instruction::CopyGbBk { chmask, opsize, bank, row, col, gb_slot } => {
-                let now = self.now;
-                for ch in chmask.iter() {
-                    let channel = self.channel_mut(ch.index())?;
-                    channel.advance_to(now);
-                    channel.copy_gb_to_bank(bank, row, col, gb_slot as usize, opsize as usize)?;
-                }
+                fan_out(channels, chmask.iter(), now, |channel| {
+                    channel.copy_gb_to_bank(bank, row, col, gb_slot as usize, opsize as usize)
+                })?;
             }
             Instruction::Exp { opsize, rd, rs } => {
                 let t = self.pnm.exp(&mut self.sb, rd, rs, opsize as usize)?;
-                self.now += t;
-                self.breakdown.pnm += t;
+                self.charge_pnm(t);
             }
             Instruction::Red { opsize, rd, rs } => {
                 let t = self.pnm.red(&mut self.sb, rd, rs, opsize as usize)?;
-                self.now += t;
-                self.breakdown.pnm += t;
+                self.charge_pnm(t);
             }
             Instruction::Acc { opsize, rd, rs } => {
                 let t = self.pnm.acc(&mut self.sb, rd, rs, opsize as usize)?;
-                self.now += t;
-                self.breakdown.pnm += t;
+                self.charge_pnm(t);
             }
             Instruction::Riscv { opsize, pc, rd, rs } => {
-                let t = self.run_riscv(pc, rd, rs, opsize)?;
-                self.now += t;
-                self.breakdown.pnm += t;
+                let (program, args) = programs::routine(pc, rd, rs, opsize)?;
+                let run = self.core.run(&mut self.sb, program, &args)?;
+                self.pnm.note_riscv_instructions(run.retired);
+                self.charge_pnm(run.latency);
             }
             Instruction::SendCxl { dv, rs, rd, opsize } => {
                 let comm = comm.as_deref_mut().ok_or_else(|| {
                     CentError::ProtocolViolation("SEND_CXL without a fabric".into())
                 })?;
-                let beats: Vec<Beat> = (0..opsize)
-                    .map(|i| self.sb.read(rs.offset(i as u16)))
-                    .collect::<CentResult<_>>()?;
+                let beats = self.sb.slots(rs, opsize as usize)?.to_vec();
                 comm.send_to_slot(self.id, dv, rd, beats, self.now)?;
                 // SEND_CXL is non-blocking (§4.1).
             }
@@ -402,18 +317,15 @@ impl CxlDevice {
                     self.breakdown.cxl += msg.delivered_at - self.now;
                     self.now = msg.delivered_at;
                 }
-                let base = SbSlot(msg.dst_slot);
-                for (i, beat) in msg.beats.iter().enumerate() {
-                    self.sb.write(base.offset(i as u16), beat)?;
-                }
+                self.sb
+                    .slots_mut(SbSlot(msg.dst_slot), msg.beats.len())?
+                    .copy_from_slice(&msg.beats);
             }
             Instruction::BcastCxl { dv_count, rs, rd, opsize } => {
                 let comm = comm.ok_or_else(|| {
                     CentError::ProtocolViolation("BCAST_CXL without a fabric".into())
                 })?;
-                let beats: Vec<Beat> = (0..opsize)
-                    .map(|i| self.sb.read(rs.offset(i as u16)))
-                    .collect::<CentResult<_>>()?;
+                let beats = self.sb.slots(rs, opsize as usize)?.to_vec();
                 let targets: Vec<DeviceId> =
                     (1..=u16::from(dv_count)).map(|i| DeviceId(self.id.0 + i)).collect();
                 comm.broadcast_to_slot(self.id, &targets, rd, beats, self.now)?;
@@ -427,6 +339,12 @@ impl CxlDevice {
             self.breakdown.pim += busy - self.now;
             self.now = busy;
         }
+    }
+
+    /// Runs PNM work of latency `t` on the decoder clock.
+    fn charge_pnm(&mut self, t: Time) {
+        self.now += t;
+        self.breakdown.pnm += t;
     }
 
     /// Runs a whole trace in order.
@@ -447,61 +365,37 @@ impl CxlDevice {
         self.sync_pim(busy);
         Ok(self.now)
     }
+}
 
-    fn run_riscv(&mut self, pc: u32, rd: SbSlot, rs: SbSlot, opsize: u32) -> CentResult<Time> {
-        let n = opsize;
-        // Multi-array routines use exact packed strides of n elements
-        // (2n bytes) between consecutive arrays.
-        let stride = n * 2;
-        let (program, args): (&str, Vec<u32>) = match pc {
-            riscv_pc::RSQRT => (programs::RSQRT, vec![rs.byte_addr(), rd.byte_addr()]),
-            riscv_pc::RECIP => (programs::RECIP, vec![rs.byte_addr(), rd.byte_addr()]),
-            riscv_pc::RMSNORM_SCALE => {
-                (programs::RMSNORM_SCALE, vec![rs.byte_addr(), n, rd.byte_addr()])
-            }
-            riscv_pc::ROPE_COMBINE => (
-                programs::ROPE_COMBINE,
-                vec![
-                    rs.byte_addr(),
-                    rs.byte_addr() + stride,
-                    rs.byte_addr() + 2 * stride,
-                    rs.byte_addr() + 3 * stride,
-                    rd.byte_addr(),
-                    n,
-                ],
-            ),
-            riscv_pc::VEC_ADD => (
-                programs::VEC_ADD,
-                vec![rs.byte_addr(), rs.byte_addr() + stride, rd.byte_addr(), n],
-            ),
-            riscv_pc::VEC_SCALE => (
-                programs::VEC_SCALE,
-                vec![rs.byte_addr(), rs.byte_addr() + stride, rd.byte_addr(), n],
-            ),
-            riscv_pc::DEINTERLEAVE => {
-                (programs::DEINTERLEAVE, vec![rs.byte_addr(), rd.byte_addr(), n])
-            }
-            riscv_pc::SUB_COUNT => (programs::SUB_COUNT, vec![rs.byte_addr(), n, rd.byte_addr()]),
-            riscv_pc::ZERO_TAIL => (programs::ZERO_TAIL, vec![rd.byte_addr(), n]),
-            other => {
-                return Err(CentError::InvalidInstruction(format!(
-                    "no RISC-V routine registered at pc {other:#x}"
-                )))
-            }
-        };
-        // Round-robin over the 8 cores.
-        let core_idx = self.next_core;
-        self.next_core = (self.next_core + 1) % self.cores.len();
-        let run = self.cores[core_idx].run(&mut self.sb, program, &args)?;
-        self.pnm.note_riscv_instructions(run.retired);
-        Ok(run.latency)
+fn channel_mut(channels: &mut [PimChannel], ch: ChannelId) -> CentResult<&mut PimChannel> {
+    let n = channels.len();
+    channels
+        .get_mut(ch.index())
+        .ok_or_else(|| CentError::config(format!("channel {} of {n} not present", ch.index())))
+}
+
+/// Advances each channel of `chs` (a channel mask's channels, or the one
+/// channel a single-channel instruction names) to the decoder clock `now`
+/// and applies `op` to it, in order.
+fn fan_out<T>(
+    channels: &mut [PimChannel],
+    chs: impl IntoIterator<Item = ChannelId>,
+    now: Time,
+    mut op: impl FnMut(&mut PimChannel) -> CentResult<T>,
+) -> CentResult<()> {
+    for ch in chs {
+        let channel = channel_mut(channels, ch)?;
+        channel.advance_to(now);
+        op(channel)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cent_cxl::FabricConfig;
+    use cent_isa::riscv_pc;
     use cent_types::{AccRegId, BankId, Bf16, ChannelMask, ColAddr, RowAddr};
 
     fn small_device(id: u16) -> CxlDevice {
@@ -664,6 +558,22 @@ mod tests {
         // 2 channels × 4 beats × 16 banks.
         assert_eq!(act.mac_beats, 2 * 4 * 16);
         assert_eq!(act.acts, 2 * 16);
+    }
+
+    #[test]
+    fn rd_sbk_past_the_shared_buffer_is_rejected_before_the_channel() {
+        let mut dev = small_device(0);
+        let inst = Instruction::RdSbk {
+            ch: ChannelId(0),
+            opsize: u32::MAX,
+            bank: BankId(0),
+            row: RowAddr(0),
+            col: ColAddr(0),
+            rd: SbSlot(0),
+        };
+        let err = dev.execute(&inst, None).unwrap_err();
+        assert!(matches!(err, CentError::AddressOutOfRange(_)), "{err}");
+        assert_eq!(dev.dram_activity().commands, 0);
     }
 
     #[test]

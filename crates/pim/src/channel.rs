@@ -8,16 +8,24 @@
 //! Every operation both *computes* (when the channel is in functional mode)
 //! and *advances the DRAM timing model* by issuing the command sequence the
 //! PIM controller would generate, so one code path produces verified values
-//! and cycle counts. `MAC_ABK` streams issue one closed-form lockstep burst
-//! per row segment ([`PimChannelTiming::issue_mac_burst`]) and switch rows
-//! with [`PimChannelTiming::issue_row_switch`], in functional and
-//! timing-only channels alike; the functional datapath consumes the beats
-//! one by one beside the burst.
+//! and cycle counts.
+//!
+//! Every multi-beat op walks its beats through one row walk, which wraps
+//! to the next row at the end of a row. `MAC_ABK` issues one closed-form
+//! lockstep burst per row segment ([`PimChannelTiming::issue_mac_burst`]),
+//! in functional and timing-only channels alike, and the functional
+//! datapath consumes the beats one by one beside the burst. `EW_MUL`, the
+//! Global Buffer copies and the `WR_SBK`/`RD_SBK` data paths issue one
+//! command per beat. A row change inside a walk is one
+//! [`PimChannelTiming::issue_row_switch`].
 
 use std::collections::BTreeMap;
 
 use cent_dram::{ActivityCounters, DramCommand, PimChannelTiming};
-use cent_types::consts::{BANKS_PER_CHANNEL, COLS_PER_ROW, LANES_PER_BEAT, ROWS_PER_BANK};
+use cent_types::consts::{
+    BANKS_PER_CHANNEL, BANK_GROUPS_PER_CHANNEL, COLS_PER_ROW, GLOBAL_BUFFER_SLOTS, LANES_PER_BEAT,
+    PU_CLOCK_PERIOD, ROWS_PER_BANK,
+};
 use cent_types::{AccRegId, BankId, Bf16, CentError, CentResult, ColAddr, RowAddr, Time};
 
 use crate::af::{ActivationFunction, AfLut};
@@ -40,6 +48,31 @@ pub enum MacSource {
 
 /// BF16 elements per DRAM row (2 KB / 2 B).
 const ELEMS_PER_ROW: usize = COLS_PER_ROW * LANES_PER_BEAT;
+
+/// The row walk of every multi-beat op: `n` beats from (`row`, `col`) as
+/// `(row, first_col, len)` segments, wrapping to `row.next()` at the end of
+/// a row. The next row is formed only when its segment is asked for, after
+/// the caller has checked the current one; an out-of-range start column
+/// comes back as a one-beat segment for `check_addr` to reject.
+fn row_segments(
+    row: RowAddr,
+    col: ColAddr,
+    n: usize,
+) -> impl Iterator<Item = (RowAddr, usize, usize)> {
+    let mut seg = (row, col.index(), 0);
+    let mut left = n;
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        if seg.2 > 0 {
+            seg = (seg.0.next(), 0, 0);
+        }
+        seg.2 = COLS_PER_ROW.saturating_sub(seg.1).clamp(1, left);
+        left -= seg.2;
+        Some(seg)
+    })
+}
 
 /// Functional storage for one bank: rows are allocated lazily since model
 /// weights only touch a fraction of the 32 MB in small tests.
@@ -106,7 +139,7 @@ impl Default for PuState {
 ///     for lane in 0..16 {
 ///         beat[lane] = Bf16::from_f32(if lane == bank { 2.0 } else { 0.0 });
 ///     }
-///     ch.write_beat(BankId(bank as u16), RowAddr(0), ColAddr(0), &beat)?;
+///     ch.write_beats(BankId(bank as u16), RowAddr(0), ColAddr(0), &[beat])?;
 /// }
 /// let vector: Vec<Bf16> = (0..16).map(|i| Bf16::from_f32(i as f32)).collect();
 /// ch.write_gb(0, &vector.clone().try_into().unwrap());
@@ -148,7 +181,7 @@ impl PimChannel {
             functional,
             banks: vec![BankStorage::default(); BANKS_PER_CHANNEL],
             pus: vec![PuState::default(); BANKS_PER_CHANNEL],
-            global_buffer: vec![ZERO_BEAT; cent_types::consts::GLOBAL_BUFFER_SLOTS],
+            global_buffer: vec![ZERO_BEAT; GLOBAL_BUFFER_SLOTS],
             open_row: None,
             timing: PimChannelTiming::new(),
             luts: BTreeMap::new(),
@@ -188,6 +221,15 @@ impl PimChannel {
         Ok(())
     }
 
+    fn check_gb(&self, gb_slot: usize, n: usize) -> CentResult<()> {
+        if gb_slot + n > self.global_buffer.len() {
+            return Err(CentError::AddressOutOfRange(format!(
+                "GB copy of {n} beats at slot {gb_slot}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Ensures `row` is open in all banks, issuing PREab/ACTab as needed.
     fn open_all(&mut self, row: RowAddr) -> CentResult<()> {
         if self.open_row == Some(row) {
@@ -203,15 +245,46 @@ impl PimChannel {
     }
 
     /// Closes any open row (PREab).
-    ///
-    /// # Errors
-    ///
-    /// Propagates timing-model protocol violations.
-    pub fn precharge_all(&mut self) -> CentResult<()> {
+    fn precharge_all(&mut self) -> CentResult<()> {
         if self.open_row.take().is_some() {
             self.timing.issue(DramCommand::PreAb)?;
         }
         Ok(())
+    }
+
+    /// Occupies the channel's internal bus for one PU cycle; returns when
+    /// the cycle started.
+    fn pu_cycle(&mut self) -> Time {
+        let t = self.timing.now();
+        self.timing.advance_to(t + PU_CLOCK_PERIOD);
+        t
+    }
+
+    /// Issues one `cmd` per beat of the `n`-beat row walk from (`row`,
+    /// `col`): per beat `check_addr`, `open_all`, `issue`, then — on a
+    /// functional channel — `effect(self, i, row, col)` for beat `i`.
+    /// Returns the issue time of the last beat.
+    fn walk_beats(
+        &mut self,
+        bank: BankId,
+        row: RowAddr,
+        col: ColAddr,
+        n: usize,
+        cmd: impl Fn(ColAddr) -> DramCommand,
+        mut effect: impl FnMut(&mut Self, usize, RowAddr, ColAddr),
+    ) -> CentResult<Time> {
+        let mut last = Time::ZERO;
+        let beats = row_segments(row, col, n)
+            .flat_map(|(r, c, len)| (c..c + len).map(move |c| (r, ColAddr(c as u32))));
+        for (i, (r, c)) in beats.enumerate() {
+            self.check_addr(bank, r, c)?;
+            self.open_all(r)?;
+            last = self.timing.issue(cmd(c))?;
+            if self.functional {
+                effect(self, i, r, c);
+            }
+        }
+        Ok(last)
     }
 
     // ---------------------------------------------------------------- data
@@ -237,46 +310,55 @@ impl PimChannel {
         Ok(())
     }
 
-    /// Writes one beat into a bank (`WR_SBK` data path). Returns issue time.
+    /// Writes `beats` into `bank` from (`row`, `col`) on, wrapping to the
+    /// next row at the end of a row (`WR_SBK` data path). Returns the issue
+    /// time of the last beat.
     ///
     /// # Errors
     ///
     /// Returns an error for out-of-range addresses.
-    pub fn write_beat(
+    pub fn write_beats(
         &mut self,
         bank: BankId,
         row: RowAddr,
         col: ColAddr,
-        beat: &Beat,
+        beats: &[Beat],
     ) -> CentResult<Time> {
-        self.check_addr(bank, row, col)?;
-        // Single-bank accesses use the per-bank path: close lockstep row if
-        // it differs (the controller serialises these around PIM bursts).
-        self.open_all(row)?;
-        let t = self.timing.issue(DramCommand::Wr { bank, col })?;
-        if self.functional {
-            self.banks[bank.index()].write_beat(row, col, beat);
-        }
-        Ok(t)
+        // Single-bank accesses close a differing lockstep row first (the
+        // controller serialises these around PIM bursts).
+        self.walk_beats(
+            bank,
+            row,
+            col,
+            beats.len(),
+            |col| DramCommand::Wr { bank, col },
+            |ch, i, r, c| ch.banks[bank.index()].write_beat(r, c, &beats[i]),
+        )
     }
 
-    /// Reads one beat from a bank (`RD_SBK` data path).
+    /// Reads `out.len()` beats from `bank` from (`row`, `col`) on, wrapping
+    /// like [`PimChannel::write_beats`] (`RD_SBK` data path). A timing-only
+    /// channel reads zeros. Returns the issue time of the last beat.
     ///
     /// # Errors
     ///
     /// Returns an error for out-of-range addresses.
-    pub fn read_beat(
+    pub fn read_beats(
         &mut self,
         bank: BankId,
         row: RowAddr,
         col: ColAddr,
-    ) -> CentResult<(Beat, Time)> {
-        self.check_addr(bank, row, col)?;
-        self.open_all(row)?;
-        let t = self.timing.issue(DramCommand::Rd { bank, col })?;
-        let beat =
-            if self.functional { self.banks[bank.index()].read_beat(row, col) } else { ZERO_BEAT };
-        Ok((beat, t))
+        out: &mut [Beat],
+    ) -> CentResult<Time> {
+        out.fill(ZERO_BEAT);
+        self.walk_beats(
+            bank,
+            row,
+            col,
+            out.len(),
+            |col| DramCommand::Rd { bank, col },
+            |ch, i, r, c| out[i] = ch.banks[bank.index()].read_beat(r, c),
+        )
     }
 
     /// `WR_ABK`: scatters the 16 lanes of `beat` across all banks — lane `p`
@@ -321,9 +403,7 @@ impl PimChannel {
         if self.functional {
             self.global_buffer[slot] = *beat;
         }
-        let t = self.timing.now();
-        self.timing.advance_to(t + cent_types::consts::PU_CLOCK_PERIOD);
-        t
+        self.pu_cycle()
     }
 
     /// Reads a Global Buffer slot (debug/verification).
@@ -345,29 +425,15 @@ impl PimChannel {
         gb_slot: usize,
         n: usize,
     ) -> CentResult<Time> {
-        if gb_slot + n > self.global_buffer.len() {
-            return Err(CentError::AddressOutOfRange(format!(
-                "GB copy of {n} beats at slot {gb_slot}"
-            )));
-        }
-        let mut last = Time::ZERO;
-        let mut r = row;
-        let mut c = col.index();
-        for i in 0..n {
-            if c >= COLS_PER_ROW {
-                r = r.next();
-                c = 0;
-            }
-            self.check_addr(bank, r, ColAddr(c as u32))?;
-            self.open_all(r)?;
-            last = self.timing.issue(DramCommand::Rd { bank, col: ColAddr(c as u32) })?;
-            if self.functional {
-                self.global_buffer[gb_slot + i] =
-                    self.banks[bank.index()].read_beat(r, ColAddr(c as u32));
-            }
-            c += 1;
-        }
-        Ok(last)
+        self.check_gb(gb_slot, n)?;
+        self.walk_beats(
+            bank,
+            row,
+            col,
+            n,
+            |col| DramCommand::Rd { bank, col },
+            |ch, i, r, c| ch.global_buffer[gb_slot + i] = ch.banks[bank.index()].read_beat(r, c),
+        )
     }
 
     /// `COPY_GBBK`: copies `n` beats from the Global Buffer into `bank`.
@@ -383,29 +449,18 @@ impl PimChannel {
         gb_slot: usize,
         n: usize,
     ) -> CentResult<Time> {
-        if gb_slot + n > self.global_buffer.len() {
-            return Err(CentError::AddressOutOfRange(format!(
-                "GB copy of {n} beats at slot {gb_slot}"
-            )));
-        }
-        let mut last = Time::ZERO;
-        let mut r = row;
-        let mut c = col.index();
-        for i in 0..n {
-            if c >= COLS_PER_ROW {
-                r = r.next();
-                c = 0;
-            }
-            self.check_addr(bank, r, ColAddr(c as u32))?;
-            self.open_all(r)?;
-            last = self.timing.issue(DramCommand::Wr { bank, col: ColAddr(c as u32) })?;
-            if self.functional {
-                let beat = self.global_buffer[gb_slot + i];
-                self.banks[bank.index()].write_beat(r, ColAddr(c as u32), &beat);
-            }
-            c += 1;
-        }
-        Ok(last)
+        self.check_gb(gb_slot, n)?;
+        self.walk_beats(
+            bank,
+            row,
+            col,
+            n,
+            |col| DramCommand::Wr { bank, col },
+            |ch, i, r, c| {
+                let beat = ch.global_buffer[gb_slot + i];
+                ch.banks[bank.index()].write_beat(r, c, &beat);
+            },
+        )
     }
 
     // ------------------------------------------------------------- compute
@@ -416,8 +471,7 @@ impl PimChannel {
         for (p, pu) in self.pus.iter_mut().enumerate() {
             pu.acc[reg.index()] = beat[p].to_f32();
         }
-        let t = self.timing.now();
-        self.timing.advance_to(t + cent_types::consts::PU_CLOCK_PERIOD);
+        self.pu_cycle();
     }
 
     /// `MAC_ABK`: streams `n_beats` all-bank MAC beats starting at
@@ -445,15 +499,8 @@ impl PimChannel {
         // One timing burst per row segment; the functional datapath walks
         // the segment's beats one by one.
         let mut last = Time::ZERO;
-        let mut r = row;
-        let mut c = col.index();
         let mut done = 0;
-        while done < n_beats {
-            if c >= COLS_PER_ROW {
-                r = r.next();
-                c = 0;
-            }
-            let len = (COLS_PER_ROW - c).min(n_beats - done);
+        for (r, c, len) in row_segments(row, col, n_beats) {
             self.check_addr(BankId(0), r, ColAddr(c as u32))?;
             self.open_all(r)?;
             last = self.timing.issue_mac_burst(len as u64)?;
@@ -463,7 +510,6 @@ impl PimChannel {
                 }
             }
             done += len;
-            c += len;
         }
         Ok(last)
     }
@@ -501,31 +547,24 @@ impl PimChannel {
     ///
     /// Returns an error for out-of-range addresses.
     pub fn ew_mul(&mut self, row: RowAddr, col: ColAddr, n_beats: usize) -> CentResult<Time> {
-        let mut last = Time::ZERO;
-        let mut r = row;
-        let mut c = col.index();
-        for _ in 0..n_beats {
-            if c >= COLS_PER_ROW {
-                r = r.next();
-                c = 0;
-            }
-            self.check_addr(BankId(0), r, ColAddr(c as u32))?;
-            self.open_all(r)?;
-            last = self.timing.issue(DramCommand::EwMulAb { col: ColAddr(c as u32) })?;
-            if self.functional {
-                for g in 0..cent_types::consts::BANK_GROUPS_PER_CHANNEL {
-                    let a = self.banks[4 * g].read_beat(r, ColAddr(c as u32));
-                    let b = self.banks[4 * g + 1].read_beat(r, ColAddr(c as u32));
+        self.walk_beats(
+            BankId(0),
+            row,
+            col,
+            n_beats,
+            |col| DramCommand::EwMulAb { col },
+            |ch, _, r, c| {
+                for g in 0..BANK_GROUPS_PER_CHANNEL {
+                    let a = ch.banks[4 * g].read_beat(r, c);
+                    let b = ch.banks[4 * g + 1].read_beat(r, c);
                     let mut out = ZERO_BEAT;
                     for lane in 0..LANES_PER_BEAT {
                         out[lane] = a[lane] * b[lane];
                     }
-                    self.banks[4 * g + 2].write_beat(r, ColAddr(c as u32), &out);
+                    ch.banks[4 * g + 2].write_beat(r, c, &out);
                 }
-            }
-            c += 1;
-        }
-        Ok(last)
+            },
+        )
     }
 
     /// `AF`: applies activation function `af` to accumulation register `reg`
@@ -561,9 +600,7 @@ impl PimChannel {
         for (p, pu) in self.pus.iter().enumerate() {
             beat[p] = Bf16::from_f32(pu.acc[reg.index()]);
         }
-        let t = self.timing.now();
-        self.timing.advance_to(t + cent_types::consts::PU_CLOCK_PERIOD);
-        (beat, t)
+        (beat, self.pu_cycle())
     }
 
     /// Direct accumulator inspection for tests.
@@ -590,7 +627,7 @@ mod tests {
         // Bank p row: all ones. Vector: 0..16. Expected dot = sum(0..16)=120.
         let ones = beat_of(&[1.0; 16]);
         for p in 0..16 {
-            ch.write_beat(BankId(p), RowAddr(0), ColAddr(0), &ones).unwrap();
+            ch.write_beats(BankId(p), RowAddr(0), ColAddr(0), &[ones]).unwrap();
         }
         let v: Vec<f32> = (0..16).map(|i| i as f32).collect();
         ch.write_gb(0, &beat_of(&v));
@@ -614,9 +651,9 @@ mod tests {
         let mut ch = PimChannel::functional();
         let ones = beat_of(&[1.0; 16]);
         // 2 beats at end of row 0 and 1 beat at row 1 (wrap).
-        ch.write_beat(BankId(0), RowAddr(0), ColAddr(62), &ones).unwrap();
-        ch.write_beat(BankId(0), RowAddr(0), ColAddr(63), &ones).unwrap();
-        ch.write_beat(BankId(0), RowAddr(1), ColAddr(0), &ones).unwrap();
+        ch.write_beats(BankId(0), RowAddr(0), ColAddr(62), &[ones]).unwrap();
+        ch.write_beats(BankId(0), RowAddr(0), ColAddr(63), &[ones]).unwrap();
+        ch.write_beats(BankId(0), RowAddr(1), ColAddr(0), &[ones]).unwrap();
         for s in 0..3 {
             ch.write_gb(s, &beat_of(&[2.0; 16]));
         }
@@ -637,6 +674,100 @@ mod tests {
     }
 
     #[test]
+    fn walked_ops_wrap_to_the_next_row() {
+        // Five beats from (r, 62) walk (r, 62), (r, 63), (r+1, 0..3); the
+        // cells on either side stay untouched.
+        let r = RowAddr(4);
+        let walked = [(r, 62), (r, 63), (r.next(), 0), (r.next(), 1), (r.next(), 2)];
+        let fences = [(r, 61), (r.next(), 3)];
+        let value = |i: usize| beat_of(&[i as f32 + 1.0; 16]);
+        let cell = |ch: &mut PimChannel, bank: u16, (row, col): (RowAddr, u32)| {
+            let mut out = [ZERO_BEAT];
+            ch.read_beats(BankId(bank), row, ColAddr(col), &mut out).unwrap();
+            out[0][0].to_f32()
+        };
+        // One ACTab opens r, then one PREab + ACTab switches to r+1.
+        let one_switch = |ch: &PimChannel, op: &str| {
+            assert_eq!((ch.activity().acts, ch.activity().pres), (32, 16), "{op}");
+        };
+
+        let mut ch = PimChannel::functional();
+        for &(row, col) in &walked {
+            ch.preload_beat(BankId(0), row, ColAddr(col), &value(0)).unwrap();
+        }
+        for &(row, col) in &fences {
+            ch.preload_beat(BankId(0), row, ColAddr(col), &value(99)).unwrap();
+        }
+        for s in 0..6 {
+            ch.write_gb(s, &value(0));
+        }
+        ch.mac_abk(r, ColAddr(62), 5, AccRegId::new(0), MacSource::GlobalBuffer { slot: 0 })
+            .unwrap();
+        one_switch(&ch, "mac_abk");
+        assert_eq!(ch.acc(0, AccRegId::new(0)), 5.0 * 16.0);
+
+        let mut ch = PimChannel::functional();
+        for &(row, col) in walked.iter().chain(&fences) {
+            ch.preload_beat(BankId(0), row, ColAddr(col), &value(1)).unwrap();
+            ch.preload_beat(BankId(1), row, ColAddr(col), &value(2)).unwrap();
+        }
+        ch.ew_mul(r, ColAddr(62), 5).unwrap();
+        one_switch(&ch, "ew_mul");
+        for &at in &walked {
+            assert_eq!(cell(&mut ch, 2, at), 6.0, "ew_mul {at:?}");
+        }
+        for &at in &fences {
+            assert_eq!(cell(&mut ch, 2, at), 0.0, "ew_mul {at:?}");
+        }
+
+        let mut ch = PimChannel::functional();
+        for (i, &(row, col)) in walked.iter().enumerate() {
+            ch.preload_beat(BankId(5), row, ColAddr(col), &value(i)).unwrap();
+        }
+        for &(row, col) in &fences {
+            ch.preload_beat(BankId(5), row, ColAddr(col), &value(99)).unwrap();
+        }
+        ch.copy_bank_to_gb(BankId(5), r, ColAddr(62), 10, 5).unwrap();
+        one_switch(&ch, "copy_bank_to_gb");
+        for i in 0..5 {
+            assert_eq!(ch.gb(10 + i)[0].to_f32(), i as f32 + 1.0, "copy_bank_to_gb beat {i}");
+        }
+        assert_eq!(ch.gb(15)[0].to_f32(), 0.0);
+
+        let mut ch = PimChannel::functional();
+        for s in 0..6 {
+            ch.write_gb(s, &value(if s < 5 { s } else { 99 }));
+        }
+        ch.copy_gb_to_bank(BankId(5), r, ColAddr(62), 0, 5).unwrap();
+        one_switch(&ch, "copy_gb_to_bank");
+        for (i, &at) in walked.iter().enumerate() {
+            assert_eq!(cell(&mut ch, 5, at), i as f32 + 1.0, "copy_gb_to_bank {at:?}");
+        }
+        for &at in &fences {
+            assert_eq!(cell(&mut ch, 5, at), 0.0, "copy_gb_to_bank {at:?}");
+        }
+
+        let mut ch = PimChannel::functional();
+        let beats: Vec<Beat> = (0..5).map(value).collect();
+        ch.write_beats(BankId(7), r, ColAddr(62), &beats).unwrap();
+        one_switch(&ch, "write_beats");
+        let mut back = [ZERO_BEAT; 7];
+        ch.read_beats(BankId(7), r, ColAddr(61), &mut back).unwrap();
+        assert_eq!(back[0], ZERO_BEAT);
+        assert_eq!(back[1..6], beats[..]);
+        assert_eq!(back[6], ZERO_BEAT);
+
+        let mut ch = PimChannel::functional();
+        for (i, &(row, col)) in walked.iter().enumerate() {
+            ch.preload_beat(BankId(7), row, ColAddr(col), &value(i)).unwrap();
+        }
+        let mut back = [ZERO_BEAT; 5];
+        ch.read_beats(BankId(7), r, ColAddr(62), &mut back).unwrap();
+        one_switch(&ch, "read_beats");
+        assert_eq!(back[..], beats[..]);
+    }
+
+    #[test]
     fn bias_preloads_accumulator() {
         let mut ch = PimChannel::functional();
         let bias: Vec<f32> = (0..16).map(|p| p as f32 * 10.0).collect();
@@ -651,8 +782,8 @@ mod tests {
         let mut ch = PimChannel::functional();
         let a = beat_of(&[3.0; 16]);
         let b = beat_of(&[0.5; 16]);
-        ch.write_beat(BankId(0), RowAddr(0), ColAddr(0), &a).unwrap();
-        ch.write_beat(BankId(1), RowAddr(0), ColAddr(0), &b).unwrap();
+        ch.write_beats(BankId(0), RowAddr(0), ColAddr(0), &[a]).unwrap();
+        ch.write_beats(BankId(1), RowAddr(0), ColAddr(0), &[b]).unwrap();
         ch.write_bias(AccRegId::new(0), &ZERO_BEAT);
         ch.mac_abk(RowAddr(0), ColAddr(0), 1, AccRegId::new(0), MacSource::NeighbourBank).unwrap();
         // dot = 16 × 1.5 = 24 lands in even PU 0; odd PU untouched.
@@ -666,13 +797,14 @@ mod tests {
         let a = beat_of(&[2.0; 16]);
         let b = beat_of(&[4.0; 16]);
         for g in 0..4u16 {
-            ch.write_beat(BankId(4 * g), RowAddr(2), ColAddr(5), &a).unwrap();
-            ch.write_beat(BankId(4 * g + 1), RowAddr(2), ColAddr(5), &b).unwrap();
+            ch.write_beats(BankId(4 * g), RowAddr(2), ColAddr(5), &[a]).unwrap();
+            ch.write_beats(BankId(4 * g + 1), RowAddr(2), ColAddr(5), &[b]).unwrap();
         }
         ch.ew_mul(RowAddr(2), ColAddr(5), 1).unwrap();
         for g in 0..4u16 {
-            let (out, _) = ch.read_beat(BankId(4 * g + 2), RowAddr(2), ColAddr(5)).unwrap();
-            assert_eq!(out[0].to_f32(), 8.0, "group {g}");
+            let mut out = [ZERO_BEAT];
+            ch.read_beats(BankId(4 * g + 2), RowAddr(2), ColAddr(5), &mut out).unwrap();
+            assert_eq!(out[0][0].to_f32(), 8.0, "group {g}");
         }
     }
 
@@ -700,8 +832,9 @@ mod tests {
         let lanes: Vec<f32> = (0..16).map(|p| p as f32 + 1.0).collect();
         ch.write_element_all_banks(RowAddr(0), 17, &beat_of(&lanes)).unwrap();
         // Element 17 falls in beat 1, lane 1.
-        let (beat, _) = ch.read_beat(BankId(6), RowAddr(0), ColAddr(1)).unwrap();
-        assert_eq!(beat[1].to_f32(), 7.0);
+        let mut beat = [ZERO_BEAT];
+        ch.read_beats(BankId(6), RowAddr(0), ColAddr(1), &mut beat).unwrap();
+        assert_eq!(beat[0][1].to_f32(), 7.0);
     }
 
     #[test]
@@ -724,16 +857,17 @@ mod tests {
     #[test]
     fn out_of_range_addresses_rejected() {
         let mut ch = PimChannel::functional();
-        assert!(ch.write_beat(BankId(0), RowAddr(1_000_000), ColAddr(0), &ZERO_BEAT).is_err());
-        assert!(ch.write_beat(BankId(0), RowAddr(0), ColAddr(64), &ZERO_BEAT).is_err());
+        assert!(ch.write_beats(BankId(0), RowAddr(1_000_000), ColAddr(0), &[ZERO_BEAT]).is_err());
+        assert!(ch.write_beats(BankId(0), RowAddr(0), ColAddr(64), &[ZERO_BEAT]).is_err());
         assert!(ch.copy_bank_to_gb(BankId(0), RowAddr(0), ColAddr(0), 60, 10).is_err());
     }
 
     #[test]
     fn timing_only_channel_reads_zero() {
         let mut ch = PimChannel::timing_only();
-        let (beat, _) = ch.read_beat(BankId(0), RowAddr(0), ColAddr(0)).unwrap();
-        assert_eq!(beat, ZERO_BEAT);
+        let mut beat = [ZERO_BEAT];
+        ch.read_beats(BankId(0), RowAddr(0), ColAddr(0), &mut beat).unwrap();
+        assert_eq!(beat, [ZERO_BEAT]);
         assert!(!ch.is_functional());
     }
 }

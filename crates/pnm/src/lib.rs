@@ -10,7 +10,8 @@
 //! * [`SharedBuffer`] — dual-view device buffer;
 //! * [`PnmUnits`] — the fixed-function accelerators with timing;
 //! * [`PnmCore`] — one RISC-V core with its 64 KB local buffer;
-//! * [`programs`] — the canned PNM routines.
+//! * [`programs`] — the canned PNM routines and the table from a `RISCV`
+//!   instruction's `PC` to its program and arguments.
 
 #![forbid(unsafe_code)]
 

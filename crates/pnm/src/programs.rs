@@ -8,7 +8,41 @@
 //!
 //! BF16 values travel as the high half of an f32 (`bits << 16`), are
 //! processed in the core FPU at single precision and truncated back — the
-//! same path a BOOM core with an F unit takes.
+//! same path a BOOM core with an F unit takes. [`routine`] maps a `RISCV`
+//! instruction's `PC` to its program and arguments.
+
+use cent_isa::riscv_pc;
+use cent_types::{CentError, CentResult, SbSlot};
+
+/// The program a `RISCV OPsize PC Rd Rs` instruction runs, with its
+/// `a0..a5` arguments (unused ones zero): the Shared Buffer byte offsets of
+/// `rs` and `rd`, and `n = opsize`. Multi-array routines read their arrays
+/// after `rs` at exact packed strides of `n` elements (`2n` bytes).
+///
+/// # Errors
+///
+/// Returns an error if no routine is registered at `pc`.
+pub fn routine(pc: u32, rd: SbSlot, rs: SbSlot, n: u32) -> CentResult<(&'static str, [u32; 6])> {
+    let (src, dst, stride) = (rs.byte_addr(), rd.byte_addr(), n * 2);
+    Ok(match pc {
+        riscv_pc::RSQRT => (RSQRT, [src, dst, 0, 0, 0, 0]),
+        riscv_pc::RECIP => (RECIP, [src, dst, 0, 0, 0, 0]),
+        riscv_pc::RMSNORM_SCALE => (RMSNORM_SCALE, [src, n, dst, 0, 0, 0]),
+        riscv_pc::ROPE_COMBINE => {
+            (ROPE_COMBINE, [src, src + stride, src + 2 * stride, src + 3 * stride, dst, n])
+        }
+        riscv_pc::VEC_ADD => (VEC_ADD, [src, src + stride, dst, n, 0, 0]),
+        riscv_pc::VEC_SCALE => (VEC_SCALE, [src, src + stride, dst, n, 0, 0]),
+        riscv_pc::DEINTERLEAVE => (DEINTERLEAVE, [src, dst, n, 0, 0, 0]),
+        riscv_pc::SUB_COUNT => (SUB_COUNT, [src, n, dst, 0, 0, 0]),
+        riscv_pc::ZERO_TAIL => (ZERO_TAIL, [dst, n, 0, 0, 0, 0]),
+        other => {
+            return Err(CentError::InvalidInstruction(format!(
+                "no RISC-V routine registered at pc {other:#x}"
+            )))
+        }
+    })
+}
 
 /// `RSQRT(a0: in_off, a1: out_off)`: `out = 1 / sqrt(in)`.
 pub const RSQRT: &str = "

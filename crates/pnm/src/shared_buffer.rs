@@ -46,11 +46,34 @@ impl SharedBuffer {
         self.slots.len()
     }
 
-    fn check(&self, slot: SbSlot) -> CentResult<()> {
-        if slot.index() >= self.slots.len() {
-            return Err(CentError::AddressOutOfRange(format!("shared buffer {slot}")));
+    /// The `n` consecutive slots from `slot` on, checked as one range.
+    fn range(&self, slot: SbSlot, n: usize) -> CentResult<std::ops::Range<usize>> {
+        let end = slot.index() + n;
+        if end > self.slots.len() {
+            // Name the first slot out of range, as a slot-by-slot walk would.
+            let first = slot.index().max(self.slots.len());
+            return Err(CentError::AddressOutOfRange(format!("shared buffer SB[{first}]")));
         }
-        Ok(())
+        Ok(slot.index()..end)
+    }
+
+    /// The `n` consecutive slots starting at `slot`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the range exceeds the buffer.
+    pub fn slots(&self, slot: SbSlot, n: usize) -> CentResult<&[Beat]> {
+        Ok(&self.slots[self.range(slot, n)?])
+    }
+
+    /// The `n` consecutive slots starting at `slot`, for writing.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the range exceeds the buffer.
+    pub fn slots_mut(&mut self, slot: SbSlot, n: usize) -> CentResult<&mut [Beat]> {
+        let range = self.range(slot, n)?;
+        Ok(&mut self.slots[range])
     }
 
     /// Reads a 256-bit slot.
@@ -59,8 +82,7 @@ impl SharedBuffer {
     ///
     /// Returns an error if `slot` is out of range.
     pub fn read(&self, slot: SbSlot) -> CentResult<Beat> {
-        self.check(slot)?;
-        Ok(self.slots[slot.index()])
+        Ok(self.slots(slot, 1)?[0])
     }
 
     /// Writes a 256-bit slot.
@@ -69,8 +91,7 @@ impl SharedBuffer {
     ///
     /// Returns an error if `slot` is out of range.
     pub fn write(&mut self, slot: SbSlot, beat: &Beat) -> CentResult<()> {
-        self.check(slot)?;
-        self.slots[slot.index()] = *beat;
+        self.slots_mut(slot, 1)?[0] = *beat;
         Ok(())
     }
 
@@ -80,11 +101,7 @@ impl SharedBuffer {
     ///
     /// Returns an error if the range exceeds the buffer.
     pub fn read_vec(&self, slot: SbSlot, n: usize) -> CentResult<Vec<Bf16>> {
-        let mut out = Vec::with_capacity(n * 16);
-        for i in 0..n {
-            out.extend_from_slice(&self.read(slot.offset(i as u16))?);
-        }
-        Ok(out)
+        Ok(self.slots(slot, n)?.concat())
     }
 
     /// Writes a flat BF16 vector into consecutive slots starting at `slot`,
@@ -94,17 +111,26 @@ impl SharedBuffer {
     ///
     /// Returns an error if the vector does not fit.
     pub fn write_vec(&mut self, slot: SbSlot, values: &[Bf16]) -> CentResult<usize> {
-        let beats = values.len().div_ceil(16);
-        for i in 0..beats {
-            let mut beat = ZERO_BEAT;
-            for (lane, out) in beat.iter_mut().enumerate() {
-                if let Some(v) = values.get(i * 16 + lane) {
-                    *out = *v;
-                }
-            }
-            self.write(slot.offset(i as u16), &beat)?;
+        let beats = self.slots_mut(slot, values.len().div_ceil(16))?;
+        for (beat, chunk) in beats.iter_mut().zip(values.chunks(16)) {
+            *beat = ZERO_BEAT;
+            beat[..chunk.len()].copy_from_slice(chunk);
         }
-        Ok(beats)
+        Ok(beats.len())
+    }
+
+    /// The (slot, lane) a RISC-V halfword access at byte `addr` touches.
+    fn halfword(&self, addr: u32) -> CentResult<(usize, usize)> {
+        if !addr.is_multiple_of(2) {
+            return Err(CentError::AddressOutOfRange(format!(
+                "misaligned shared-buffer halfword access at {addr:#x}"
+            )));
+        }
+        let slot = (addr / 32) as usize;
+        if slot >= self.slots.len() {
+            return Err(CentError::AddressOutOfRange(format!("shared buffer byte {addr:#x}")));
+        }
+        Ok((slot, ((addr % 32) / 2) as usize))
     }
 
     /// 16-bit load at byte address `addr` (RISC-V view).
@@ -113,16 +139,7 @@ impl SharedBuffer {
     ///
     /// Returns an error for out-of-range or misaligned addresses.
     pub fn read_u16(&self, addr: u32) -> CentResult<u16> {
-        if !addr.is_multiple_of(2) {
-            return Err(CentError::AddressOutOfRange(format!(
-                "misaligned shared-buffer halfword access at {addr:#x}"
-            )));
-        }
-        let slot = (addr / 32) as usize;
-        let lane = ((addr % 32) / 2) as usize;
-        if slot >= self.slots.len() {
-            return Err(CentError::AddressOutOfRange(format!("shared buffer byte {addr:#x}")));
-        }
+        let (slot, lane) = self.halfword(addr)?;
         Ok(self.slots[slot][lane].to_bits())
     }
 
@@ -132,16 +149,7 @@ impl SharedBuffer {
     ///
     /// Returns an error for out-of-range or misaligned addresses.
     pub fn write_u16(&mut self, addr: u32, value: u16) -> CentResult<()> {
-        if !addr.is_multiple_of(2) {
-            return Err(CentError::AddressOutOfRange(format!(
-                "misaligned shared-buffer halfword access at {addr:#x}"
-            )));
-        }
-        let slot = (addr / 32) as usize;
-        let lane = ((addr % 32) / 2) as usize;
-        if slot >= self.slots.len() {
-            return Err(CentError::AddressOutOfRange(format!("shared buffer byte {addr:#x}")));
-        }
+        let (slot, lane) = self.halfword(addr)?;
         self.slots[slot][lane] = Bf16::from_bits(value);
         Ok(())
     }

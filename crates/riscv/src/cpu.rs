@@ -79,11 +79,6 @@ impl Ram {
     pub fn data(&self) -> &[u8] {
         &self.data
     }
-
-    /// Mutable raw contents.
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
 }
 
 impl Bus for Ram {
@@ -194,18 +189,6 @@ impl Cpu {
         if i != 0 {
             self.x[i] = value;
         }
-    }
-
-    /// Reads float register `i`.
-    #[inline]
-    pub fn fr(&self, i: usize) -> f32 {
-        self.f[i]
-    }
-
-    /// Writes float register `i`.
-    #[inline]
-    pub fn set_f(&mut self, i: usize, value: f32) {
-        self.f[i] = value;
     }
 
     /// Instruction-mix statistics accumulated so far.

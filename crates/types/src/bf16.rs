@@ -104,12 +104,6 @@ impl Bf16 {
         (self.0 & 0x7F80) != 0x7F80
     }
 
-    /// Returns `true` for positive values, `+0.0` and NaNs without the sign bit.
-    #[inline]
-    pub fn is_sign_positive(self) -> bool {
-        self.0 & 0x8000 == 0
-    }
-
     /// Absolute value (clears the sign bit).
     #[inline]
     pub fn abs(self) -> Self {

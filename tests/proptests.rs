@@ -541,8 +541,10 @@ fn row_switch_matches_preab_then_actab() {
     }
 }
 
-// A functional and a timing-only PIM channel run the same burst timing
-// path: identical issue times, completion and counters, across row wraps.
+// A functional and a timing-only PIM channel run the same timing path for
+// every row-walking op (MAC bursts, EW_MUL, both Global Buffer copies and
+// the single-bank writes and reads): identical issue times, completion and
+// counters, across row wraps.
 #[test]
 fn functional_and_timing_only_mac_abk_agree() {
     use cent_pim::{MacSource, PimChannel};
@@ -564,13 +566,32 @@ fn functional_and_timing_only_mac_abk_agree() {
                 // A single-bank access in between moves the open row.
                 let bank = BankId(rng.next_below(16) as u16);
                 let at = RowAddr(rng.next_below(8) as u32);
-                let a = functional.write_beat(bank, at, col, &cent_pim::ZERO_BEAT).unwrap();
-                let b = timing.write_beat(bank, at, col, &cent_pim::ZERO_BEAT).unwrap();
+                let a = functional.write_beats(bank, at, col, &[cent_pim::ZERO_BEAT]).unwrap();
+                let b = timing.write_beats(bank, at, col, &[cent_pim::ZERO_BEAT]).unwrap();
                 assert_eq!(a, b, "case {case}");
             }
             let a = functional.mac_abk(row, col, n, reg, source).unwrap();
             let b = timing.mac_abk(row, col, n, reg, source).unwrap();
             assert_eq!(a, b, "case {case}: {n} beats from {row}/{col}");
+            assert_eq!(functional.busy_until(), timing.busy_until(), "case {case}");
+            assert_eq!(functional.activity(), timing.activity(), "case {case}");
+            // One of the other row-walking ops, from a fresh start column.
+            let bank = BankId(rng.next_below(16) as u16);
+            let col = ColAddr(rng.next_below(64) as u32);
+            let n = 1 + rng.next_below(64) as usize;
+            let slot = rng.next_below(65 - n as u64) as usize;
+            let beats = vec![cent_pim::ZERO_BEAT; n];
+            let op = rng.next_below(5);
+            let walk = |ch: &mut PimChannel| match op {
+                0 => ch.ew_mul(row, col, n).unwrap(),
+                1 => ch.copy_bank_to_gb(bank, row, col, slot, n).unwrap(),
+                2 => ch.copy_gb_to_bank(bank, row, col, slot, n).unwrap(),
+                3 => ch.write_beats(bank, row, col, &beats).unwrap(),
+                _ => ch.read_beats(bank, row, col, &mut vec![cent_pim::ZERO_BEAT; n]).unwrap(),
+            };
+            let a = walk(&mut functional);
+            let b = walk(&mut timing);
+            assert_eq!(a, b, "case {case}: op {op}, {n} beats from {row}/{col}");
             assert_eq!(functional.busy_until(), timing.busy_until(), "case {case}");
             assert_eq!(functional.activity(), timing.activity(), "case {case}");
         }
